@@ -71,12 +71,6 @@ class Tensor:
     def __rtruediv__(self, other):
         return div(_wrap(other, self), self)
 
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}, tracked={self.tracked})"
 
@@ -112,12 +106,6 @@ class Tape:
         for node in reversed(self.nodes):
             if node.out.grad is not None:
                 node.pull(node.out.grad)
-
-    def reset_grads(self) -> None:
-        for node in self.nodes:
-            node.out.grad = None
-            for parent in node.parents:
-                parent.grad = None
 
 
 _ACTIVE: Tape | None = None
@@ -217,27 +205,6 @@ def div(a: Tensor, b: Tensor) -> Tensor:
     def pull(g):
         _acc(a, _reduce_to(g / b.data, a.data.shape))
         _acc(b, _reduce_to(-g * a.data / (b.data * b.data), b.data.shape))
-
-    return _record(out, (a, b), pull)
-
-
-def neg(a: Tensor) -> Tensor:
-    out = Tensor(-a.data)
-
-    def pull(g):
-        _acc(a, -g)
-
-    return _record(out, (a,), pull)
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
-        raise InvalidArgument(f"matmul: incompatible shapes {a.data.shape} and {b.data.shape}")
-    out = Tensor(a.data @ b.data)
-
-    def pull(g):
-        _acc_owned(a, g @ b.data.T)
-        _acc_owned(b, a.data.T @ g)
 
     return _record(out, (a, b), pull)
 
@@ -400,15 +367,6 @@ def cross3(a: Tensor, b: Tensor) -> Tensor:
         _acc(b, np.cross(g, a.data))
 
     return _record(out, (a, b), pull)
-
-
-def clamp_min(x: Tensor, floor: float) -> Tensor:
-    out = Tensor(np.maximum(x.data, floor))
-
-    def pull(g):
-        _acc(x, g * (x.data > floor))
-
-    return _record(out, (x,), pull)
 
 
 def pow3(x: Tensor) -> Tensor:

@@ -65,7 +65,7 @@ class TriMesh:
     triangles: np.ndarray       # (T, 3) int64
     edges: np.ndarray           # (E, 2) int64, unique pairs with i < j, lexicographic
     rest_edge_lengths: np.ndarray  # (E,) float64
-    adjacency: tuple            # per-vertex sorted neighbour index arrays
+    triangle_edges: np.ndarray  # (T, 3) int64, index in edges of sides (a,b), (b,c), (c,a)
     material: MaterialParams
 
     @property
@@ -88,27 +88,26 @@ class TriMesh:
         areas = 0.5 * np.linalg.norm(np.cross(a, b), axis=1)
         if np.any(areas <= _MIN_AREA):
             raise InvalidMesh("degenerate triangle (zero rest area)")
-        edges = _unique_edges(triangles)
+        # the one place that decides which undirected edge a triangle side is
+        sides = triangles[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
+        lo, hi = np.sort(sides, axis=1).T
+        keys, inverse = np.unique(lo * n + hi, return_inverse=True)
+        edges = np.stack(np.divmod(keys, n), axis=1)
+        triangle_edges = inverse.reshape(-1, 3)
+        side_edge = triangle_edges.ravel()
+        owners = np.bincount(side_edge)
+        if np.any(owners > 2):
+            raise InvalidMesh("non-manifold edge shared by more than two triangles")
+        # consistently wound neighbours traverse their shared edge in opposite directions
+        direction = np.where(sides[:, 0] < sides[:, 1], 1, -1)
+        if np.any(np.bincount(side_edge, weights=direction)[owners == 2] != 0):
+            raise InvalidMesh("inconsistent triangle winding across a shared edge")
         lengths = np.linalg.norm(
             rest_positions[edges[:, 1]] - rest_positions[edges[:, 0]], axis=1
         )
         if np.any(lengths <= 0):
             raise InvalidMesh("zero-length rest edge")
-        return cls(rest_positions, triangles, edges, lengths, _adjacency(edges, n), material)
-
-
-def _unique_edges(triangles: np.ndarray) -> np.ndarray:
-    raw = np.concatenate([triangles[:, [0, 1]], triangles[:, [1, 2]], triangles[:, [2, 0]]])
-    raw.sort(axis=1)
-    return np.unique(raw, axis=0)
-
-
-def _adjacency(edges: np.ndarray, n: int) -> tuple:
-    neighbours = [[] for _ in range(n)]
-    for i, j in edges:
-        neighbours[i].append(j)
-        neighbours[j].append(i)
-    return tuple(np.array(sorted(nb), dtype=np.int64) for nb in neighbours)
+        return cls(rest_positions, triangles, edges, lengths, triangle_edges, material)
 
 
 def make_grid_cloth(n: int, side: float, material: MaterialParams) -> TriMesh:
@@ -140,20 +139,12 @@ def make_grid_cloth(n: int, side: float, material: MaterialParams) -> TriMesh:
 def subdivide_midpoint(mesh: TriMesh) -> TriMesh:
     """Split each triangle into four via edge midpoints. Original vertices keep
     their indices; midpoints follow in the parent edge order."""
-    n = mesh.vertex_count
-    midpoint_index = {(int(i), int(j)): n + k for k, (i, j) in enumerate(mesh.edges)}
     midpoints = 0.5 * (mesh.rest_positions[mesh.edges[:, 0]] + mesh.rest_positions[mesh.edges[:, 1]])
     positions = np.concatenate([mesh.rest_positions, midpoints])
-
-    def mid(a, b):
-        return midpoint_index[(a, b) if a < b else (b, a)]
-
-    tris = []
-    for a, b, c in mesh.triangles:
-        a, b, c = int(a), int(b), int(c)
-        mab, mbc, mca = mid(a, b), mid(b, c), mid(c, a)
-        tris.extend([(a, mab, mca), (mab, b, mbc), (mca, mbc, c), (mab, mbc, mca)])
-    return TriMesh.from_triangles(positions, np.array(tris, dtype=np.int64), mesh.material)
+    a, b, c = mesh.triangles.T
+    mab, mbc, mca = (mesh.vertex_count + mesh.triangle_edges).T
+    tris = np.stack([a, mab, mca, mab, b, mbc, mca, mbc, c, mab, mbc, mca], axis=1).reshape(-1, 3)
+    return TriMesh.from_triangles(positions, tris, mesh.material)
 
 
 def mean_edge_length(mesh: TriMesh) -> float:
@@ -247,9 +238,12 @@ def read_obj(path) -> tuple[np.ndarray, np.ndarray]:
             if len(parts) < 4:
                 raise FormatError(f"{path}:{lineno}: vertex needs 3 coordinates")
             try:
-                verts.append((float(parts[1]), float(parts[2]), float(parts[3])))
+                xyz = (float(parts[1]), float(parts[2]), float(parts[3]))
             except ValueError as exc:
                 raise FormatError(f"{path}:{lineno}: bad vertex coordinate") from exc
+            if not np.all(np.isfinite(xyz)):
+                raise FormatError(f"{path}:{lineno}: non-finite vertex coordinate")
+            verts.append(xyz)
         elif parts[0] == "f":
             if len(parts) != 4:
                 raise FormatError(f"{path}:{lineno}: only triangular faces are supported")

@@ -90,15 +90,8 @@ def build_rest_geometry(mesh: TriMesh) -> RestGeometry:
         [(d1 * d1).sum(axis=1), (d1 * d2).sum(axis=1), (d2 * d2).sum(axis=1)], axis=1
     )
 
-    hinges = _interior_hinges(mesh)
-    if hinges.shape[0]:
-        rest_dihedrals = _dihedral_angles(pos, hinges)
-        tri_area_by_edge = _hinge_area_sums(mesh)
-        edge_len = np.linalg.norm(pos[hinges[:, 1]] - pos[hinges[:, 0]], axis=1)
-        hinge_weights = edge_len / tri_area_by_edge
-    else:
-        rest_dihedrals = np.zeros(0)
-        hinge_weights = np.zeros(0)
+    hinges, tri_area_by_edge = _interior_hinges(mesh)
+    edge_len = np.linalg.norm(pos[hinges[:, 1]] - pos[hinges[:, 0]], axis=1)
 
     masses = mesh.material.mass_density * lumped_vertex_areas(mesh)
     return RestGeometry(
@@ -106,44 +99,30 @@ def build_rest_geometry(mesh: TriMesh) -> RestGeometry:
         rest_areas=areas,
         rest_gram=rest_gram,
         hinges=hinges,
-        rest_dihedrals=rest_dihedrals,
-        hinge_weights=hinge_weights,
+        rest_dihedrals=_dihedral_angles(pos, hinges),
+        hinge_weights=edge_len / tri_area_by_edge,
         vertex_masses=masses,
     )
 
 
-def _interior_hinges(mesh: TriMesh) -> np.ndarray:
-    """Edges shared by exactly two triangles, stored as (i, j, k, l) with the
-    first triangle traversing i -> j and opposite vertices k, l."""
-    owners: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
-    for a, b, c in mesh.triangles.tolist():
-        for i, j, opp in ((a, b, c), (b, c, a), (c, a, b)):
-            key = (i, j) if i < j else (j, i)
-            owners.setdefault(key, []).append((i, j, opp))
-    hinges = []
-    for key in sorted(owners):
-        sides = owners[key]
-        if len(sides) != 2:
-            continue
-        # consistently wound meshes traverse the shared edge in opposite
-        # directions; the first triangle's direction fixes the sign convention
-        (i1, j1, k), (_, _, l) = sides
-        hinges.append((i1, j1, k, l))
-    return np.array(hinges, dtype=np.int64).reshape(-1, 4)
-
-
-def _hinge_area_sums(mesh: TriMesh) -> np.ndarray:
-    areas = triangle_areas(mesh.rest_positions, mesh.triangles)
-    sums: dict[tuple[int, int], float] = {}
-    for t, (a, b, c) in enumerate(mesh.triangles.tolist()):
-        for i, j in ((a, b), (b, c), (c, a)):
-            key = (i, j) if i < j else (j, i)
-            sums[key] = sums.get(key, 0.0) + float(areas[t])
-    out = []
-    for i, j, _, _ in _interior_hinges(mesh).tolist():
-        key = (i, j) if i < j else (j, i)
-        out.append(sums[key])
-    return np.array(out)
+def _interior_hinges(mesh: TriMesh) -> tuple[np.ndarray, np.ndarray]:
+    """Edges shared by two triangles, in edge order, stored as (i, j, k, l)
+    with the first triangle (lower side index 3*t + s) traversing i -> j and
+    opposite vertices k, l; plus the summed rest area of each hinge's two
+    triangles."""
+    side_edge = mesh.triangle_edges.ravel()
+    order = np.argsort(side_edge, kind="stable")
+    # from_triangles caps every edge at two sides, so equal neighbours in
+    # edge order are exactly the interior pairs
+    shared = np.flatnonzero(side_edge[order[1:]] == side_edge[order[:-1]])
+    t1, s1 = np.divmod(order[shared], 3)
+    t2, s2 = np.divmod(order[shared + 1], 3)
+    tris = mesh.triangles
+    hinges = np.stack(
+        [tris[t1, s1], tris[t1, (s1 + 1) % 3], tris[t1, (s1 + 2) % 3], tris[t2, (s2 + 2) % 3]], axis=1
+    )
+    areas = triangle_areas(mesh.rest_positions, tris)
+    return hinges, areas[t1] + areas[t2]
 
 
 def _dihedral_angles(positions: np.ndarray, hinges: np.ndarray) -> np.ndarray:

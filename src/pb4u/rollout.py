@@ -149,10 +149,6 @@ class RolloutResult:
     diverged: bool = False
     diverged_at: int | None = None
 
-    @property
-    def positions(self) -> list:
-        return [s.garment_pos for s in self.states]
-
 
 def run_rollout(
     ctx: SimContext,

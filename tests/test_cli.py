@@ -207,6 +207,20 @@ def test_subdivide_bad_obj_is_format_error(tmp_path):
     assert main(["subdivide", "--in", str(bad), "--levels", "1", "--out", str(tmp_path / "o.obj")]) == 2
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_subdivide_nonfinite_obj_is_format_error(tmp_path, value):
+    bad = tmp_path / "bad.obj"
+    bad.write_text(f"v {value} 0 0\nv 1 0 0\nv 0 0 1\nf 1 3 2\n")
+    assert main(["subdivide", "--in", str(bad), "--levels", "1", "--out", str(tmp_path / "o.obj")]) == 2
+    assert not (tmp_path / "o.obj").exists()
+
+
+def test_subdivide_non_manifold_obj_is_invalid_mesh(tmp_path):
+    bad = tmp_path / "fan.obj"
+    bad.write_text("v 0 0 0\nv 1 0 0\nv 0.5 1 0\nv 0.5 -1 0\nv 0.5 0 1\nf 1 2 3\nf 2 1 4\nf 1 2 5\n")
+    assert main(["subdivide", "--in", str(bad), "--levels", "1", "--out", str(tmp_path / "o.obj")]) == 1
+
+
 def test_corrupt_checkpoint_exit_code(workdir, tmp_path):
     blob = bytearray((workdir / "model.ckpt").read_bytes())
     header_len = struct.unpack_from("<Q", blob, 12)[0]

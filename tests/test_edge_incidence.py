@@ -1,0 +1,88 @@
+"""The triangle-to-edge incidence table against dict-keyed loop oracles.
+
+Hinges, hinge weights, rest dihedrals and midpoint subdivision are built from
+``TriMesh.triangle_edges``; the oracles below rebuild each from the triangle
+list alone, keying every side by its sorted vertex pair, and the results must
+match bitwise.
+"""
+
+import numpy as np
+import pytest
+
+from pb4u import mesh as m
+from pb4u import physics
+from pb4u.scenes import uv_sphere
+
+MAT = m.DEFAULT_MATERIAL
+
+
+def _permuted(mesh, seed):
+    """Same surface with triangles shuffled and each one's vertex order
+    rotated, which keeps its winding."""
+    r = np.random.default_rng(seed)
+    tris = mesh.triangles[r.permutation(mesh.triangles.shape[0])]
+    shift = r.integers(0, 3, size=tris.shape[0])
+    rotated = np.take_along_axis(tris, (np.arange(3)[None, :] + shift[:, None]) % 3, axis=1)
+    return m.TriMesh.from_triangles(mesh.rest_positions, rotated, MAT)
+
+
+@pytest.fixture(scope="module", params=["grid24", "grid24-subdivided", "uv-sphere-64x96", "grid24-permuted"])
+def mesh(request):
+    grid = m.make_grid_cloth(24, 1.0, MAT)
+    return {
+        "grid24": lambda: grid,
+        "grid24-subdivided": lambda: m.subdivide_midpoint(grid),
+        "uv-sphere-64x96": lambda: uv_sphere(0.3, 64, 96, MAT),
+        "grid24-permuted": lambda: _permuted(grid, 11),
+    }[request.param]()
+
+
+def _oracle_hinges(mesh):
+    """Sides grouped by sorted vertex pair in first-seen order; an edge with
+    two sides is a hinge (i, j, k, l) with the first side running i -> j."""
+    areas = m.triangle_areas(mesh.rest_positions, mesh.triangles)
+    owners = {}
+    area_sums = {}
+    for t, (a, b, c) in enumerate(mesh.triangles.tolist()):
+        for i, j, opp in ((a, b, c), (b, c, a), (c, a, b)):
+            key = (min(i, j), max(i, j))
+            owners.setdefault(key, []).append((i, j, opp))
+            area_sums[key] = area_sums.get(key, 0.0) + float(areas[t])
+    hinges, sums = [], []
+    for key in sorted(owners):
+        if len(owners[key]) == 2:
+            (i, j, k), (_, _, l) = owners[key]
+            hinges.append((i, j, k, l))
+            sums.append(area_sums[key])
+    return np.array(hinges, dtype=np.int64).reshape(-1, 4), np.array(sums)
+
+
+def _oracle_subdivide(mesh):
+    n = mesh.vertex_count
+    midpoint = {(int(i), int(j)): n + e for e, (i, j) in enumerate(mesh.edges)}
+    tris = []
+    for a, b, c in mesh.triangles.tolist():
+        mab = midpoint[(min(a, b), max(a, b))]
+        mbc = midpoint[(min(b, c), max(b, c))]
+        mca = midpoint[(min(c, a), max(c, a))]
+        tris.extend([(a, mab, mca), (mab, b, mbc), (mca, mbc, c), (mab, mbc, mca)])
+    mids = 0.5 * (mesh.rest_positions[mesh.edges[:, 0]] + mesh.rest_positions[mesh.edges[:, 1]])
+    return np.concatenate([mesh.rest_positions, mids]), np.array(tris, dtype=np.int64)
+
+
+def test_rest_hinges_match_dict_oracle_bitwise(mesh):
+    rest = physics.build_rest_geometry(mesh)
+    hinges, area_sums = _oracle_hinges(mesh)
+    pos = mesh.rest_positions
+    edge_len = np.linalg.norm(pos[hinges[:, 1]] - pos[hinges[:, 0]], axis=1)
+    assert hinges.shape[0] > 0
+    assert np.array_equal(rest.hinges, hinges)
+    assert np.array_equal(rest.hinge_weights, edge_len / area_sums)
+    assert np.array_equal(rest.rest_dihedrals, physics._dihedral_angles(pos, hinges))
+
+
+def test_subdivision_matches_loop_oracle_bitwise(mesh):
+    fine = m.subdivide_midpoint(mesh)
+    positions, triangles = _oracle_subdivide(mesh)
+    assert np.array_equal(fine.rest_positions, positions)
+    assert np.array_equal(fine.triangles, triangles)

@@ -231,11 +231,31 @@ def test_degenerate_triangle_rejected():
         m.TriMesh.from_triangles(positions, np.array([[0, 1, 2]]), MAT)
 
 
-def test_adjacency_is_symmetric():
-    grid = m.make_grid_cloth(4, 1.0, MAT)
-    for i, nbrs in enumerate(grid.adjacency):
-        for j in nbrs:
-            assert i in grid.adjacency[j]
+def test_triangle_edges_index_every_sorted_side():
+    mesh = m.subdivide_midpoint(m.make_grid_cloth(4, 1.0, MAT))
+    assert mesh.triangle_edges.shape == mesh.triangles.shape
+    for t, (a, b, c) in enumerate(mesh.triangles.tolist()):
+        for s, (i, j) in enumerate(((a, b), (b, c), (c, a))):
+            assert mesh.edges[mesh.triangle_edges[t, s]].tolist() == sorted((i, j))
+
+
+def test_non_manifold_edge_rejected(tmp_path):
+    # three triangles fanned around the edge 0-1
+    positions = np.array([[0.0, 0, 0], [1.0, 0, 0], [0.5, 1, 0], [0.5, -1, 0], [0.5, 0, 1]])
+    path = tmp_path / "fan.obj"
+    m.write_obj(path, positions, np.array([[0, 1, 2], [1, 0, 3], [0, 1, 4]]))
+    with pytest.raises(InvalidMesh, match="non-manifold"):
+        m.load_obj_mesh(path)
+
+
+def test_flipped_triangle_rejected(tmp_path):
+    grid = m.make_grid_cloth(3, 1.0, MAT)
+    triangles = grid.triangles.copy()
+    triangles[3] = triangles[3, ::-1]
+    path = tmp_path / "flipped.obj"
+    m.write_obj(path, grid.rest_positions, triangles)
+    with pytest.raises(InvalidMesh, match="winding"):
+        m.load_obj_mesh(path)
 
 
 @settings(max_examples=20, deadline=None)
