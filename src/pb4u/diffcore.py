@@ -3,7 +3,11 @@
 A Tensor wraps one ndarray. While a tape is active (``with recording(tape)``)
 every operation whose inputs are tracked appends a local-gradient closure to
 the tape; with no active tape the same functions are plain numpy, which keeps
-rollouts and finite-difference probes cheap.
+rollouts and finite-difference probes cheap. The active tape is per thread
+(a context variable). ``Tape.backward`` frees each intermediate gradient once
+its node has pulled it, so only tracked leaves (``track=True``) keep ``.grad``;
+the nodes stay on the tape. ``affine(..., relu=True)`` fuses a hidden layer's
+ReLU into its affine node, so no pre-activation array is kept.
 
 Conventions:
   - elementwise binary ops accept equal shapes, or a scalar (shape ``()``) on
@@ -17,6 +21,7 @@ Conventions:
 from __future__ import annotations
 
 import contextlib
+import contextvars
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -106,27 +111,30 @@ class Tape:
         for node in reversed(self.nodes):
             if node.out.grad is not None:
                 node.pull(node.out.grad)
+                # every consumer of this output ran later and has pulled already
+                node.out.grad = None
 
 
-_ACTIVE: Tape | None = None
+# a new thread starts with an empty context, so it sees no tape until it opens one
+_ACTIVE: contextvars.ContextVar[Tape | None] = contextvars.ContextVar("pb4u_active_tape", default=None)
 
 
 @contextlib.contextmanager
 def recording(tape: Tape) -> Iterator[Tape]:
-    global _ACTIVE
-    if _ACTIVE is not None:
+    if _ACTIVE.get() is not None:
         raise InvalidArgument("a tape is already active; one tape per step")
-    _ACTIVE = tape
+    token = _ACTIVE.set(tape)
     try:
         yield tape
     finally:
-        _ACTIVE = None
+        _ACTIVE.reset(token)
 
 
 def _record(out: Tensor, parents: tuple[Tensor, ...], pull: Callable[[np.ndarray], None]) -> Tensor:
-    if _ACTIVE is not None and any(p.tracked for p in parents):
+    tape = _ACTIVE.get()
+    if tape is not None and any(p.tracked for p in parents):
         out.tracked = True
-        _ACTIVE.nodes.append(_Node(out, parents, pull))
+        tape.nodes.append(_Node(out, parents, pull))
     return out
 
 
@@ -209,15 +217,22 @@ def div(a: Tensor, b: Tensor) -> Tensor:
     return _record(out, (a, b), pull)
 
 
-def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """x @ w + b with b a row vector; the fused form keeps tapes small."""
+def affine(x: Tensor, w: Tensor, b: Tensor, relu: bool = False) -> Tensor:
+    """x @ w + b with b a row vector, then max(., 0) when ``relu``, in the
+    dtype of x @ w. Bias and ReLU are applied in place, and the fused form
+    keeps tapes small (no pre-activation array is kept)."""
     if x.data.ndim != 2 or w.data.ndim != 2 or x.data.shape[1] != w.data.shape[0]:
         raise InvalidArgument(f"affine: incompatible shapes {x.data.shape} and {w.data.shape}")
     if b.data.shape != (w.data.shape[1],):
         raise InvalidArgument(f"affine: bias shape {b.data.shape} does not match width {w.data.shape[1]}")
-    out = Tensor(x.data @ w.data + b.data)
+    out = Tensor(x.data @ w.data)
+    out.data += b.data
+    if relu:
+        np.maximum(out.data, 0, out=out.data)
 
     def pull(g):
+        if relu:
+            g = g * (out.data > 0)
         _acc_owned(x, g @ w.data.T)
         _acc_owned(w, x.data.T @ g)
         _acc_owned(b, g.sum(axis=0))

@@ -83,6 +83,9 @@ class TriMesh:
         n = rest_positions.shape[0]
         if triangles.min() < 0 or triangles.max() >= n:
             raise InvalidMesh("triangle index out of range")
+        unused = np.flatnonzero(np.bincount(triangles.ravel(), minlength=n) == 0)
+        if unused.size:
+            raise InvalidMesh(f"vertex {unused[0]} is used by no triangle ({unused.size} such vertices)")
         a = rest_positions[triangles[:, 1]] - rest_positions[triangles[:, 0]]
         b = rest_positions[triangles[:, 2]] - rest_positions[triangles[:, 0]]
         areas = 0.5 * np.linalg.norm(np.cross(a, b), axis=1)
@@ -167,8 +170,6 @@ def rest_scale_factors(mesh: TriMesh) -> ScaleFactors:
     count = np.zeros(mesh.vertex_count)
     np.add.at(total, src[order], lengths[order])
     np.add.at(count, src, 1.0)
-    if np.any(count == 0):
-        raise InvalidMesh("isolated vertex has no incident edges")
     return ScaleFactors(total / count)
 
 
@@ -261,7 +262,10 @@ def read_obj(path) -> tuple[np.ndarray, np.ndarray]:
         # other keywords (vn, vt, o, g, s, usemtl, mtllib, ...) are ignored
     if not verts or not faces:
         raise FormatError(f"{path}: no vertices or no faces")
-    return np.array(verts, dtype=np.float64), np.array(faces, dtype=np.int64)
+    triangles = np.array(faces, dtype=np.int64)
+    if triangles.max() >= len(verts):
+        raise FormatError(f"{path}: face index {triangles.max() + 1} past the last of {len(verts)} vertices")
+    return np.array(verts, dtype=np.float64), triangles
 
 
 def load_obj_mesh(path, material: MaterialParams = DEFAULT_MATERIAL) -> TriMesh:

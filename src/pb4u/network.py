@@ -50,9 +50,7 @@ class Mlp:
     def __call__(self, x: Tensor) -> Tensor:
         last = len(self.weights) - 1
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            x = dc.affine(x, w, b)
-            if i < last:
-                x = dc.relu(x)
+            x = dc.affine(x, w, b, relu=i < last)
         return x
 
     @property

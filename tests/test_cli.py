@@ -215,6 +215,20 @@ def test_subdivide_nonfinite_obj_is_format_error(tmp_path, value):
     assert not (tmp_path / "o.obj").exists()
 
 
+def test_subdivide_face_index_past_last_vertex_is_format_error(tmp_path):
+    bad = tmp_path / "bad.obj"
+    bad.write_text("v 0 0 0\nv 1 0 0\nv 0 0 1\nf 1 3 9\n")
+    assert main(["subdivide", "--in", str(bad), "--levels", "1", "--out", str(tmp_path / "o.obj")]) == 2
+    assert not (tmp_path / "o.obj").exists()
+
+
+def test_subdivide_stray_vertex_obj_is_invalid_mesh(tmp_path):
+    bad = tmp_path / "stray.obj"
+    bad.write_text("v 0 0 0\nv 1 0 0\nv 0 0 1\nv 5 5 5\nf 1 3 2\n")
+    assert main(["subdivide", "--in", str(bad), "--levels", "1", "--out", str(tmp_path / "o.obj")]) == 1
+    assert not (tmp_path / "o.obj").exists()
+
+
 def test_subdivide_non_manifold_obj_is_invalid_mesh(tmp_path):
     bad = tmp_path / "fan.obj"
     bad.write_text("v 0 0 0\nv 1 0 0\nv 0.5 1 0\nv 0.5 -1 0\nv 0.5 0 1\nf 1 2 3\nf 2 1 4\nf 1 2 5\n")

@@ -4,13 +4,21 @@ Every primitive is checked against central finite differences at float64;
 structural ops (gather/scatter) additionally against per-index loop oracles.
 """
 
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pb4u import diffcore as dc
+from pb4u import network as net
+from pb4u import io as pio
+from pb4u.control import calibrate
 from pb4u.errors import InvalidArgument, NumericFailure
+from pb4u.mesh import mean_edge_length
+from pb4u.rollout import SimContext, advance, frame_loss
+from pb4u.scenes import drape_sphere_preset
 
 
 def rng(seed=0):
@@ -91,6 +99,15 @@ def _random_inputs(name, r):
         b = leaf(r.normal(size=2))
         c = dc.Tensor(r.normal(size=(5, 2)))
         return lambda t, u, v: dc.sum_all(dc.mul(dc.affine(t, u, v), c)), [x, w, b]
+    if name == "affine_relu":
+        # both signs present, every pre-activation away from the kink
+        while True:
+            xd, wd, bd = r.normal(size=(5, 3)), r.normal(size=(3, 4)), r.normal(size=4)
+            pre = xd @ wd + bd
+            if np.abs(pre).min() > 0.05 and (pre < 0).any() and (pre > 0).any():
+                break
+        c = dc.Tensor(r.normal(size=(5, 4)))
+        return lambda t, u, v: dc.sum_all(dc.mul(dc.affine(t, u, v, relu=True), c)), [leaf(xd), leaf(wd), leaf(bd)]
     if name == "relu":
         # keep inputs away from the kink
         vals = r.normal(size=(n, d))
@@ -147,7 +164,7 @@ def _random_inputs(name, r):
 
 
 PRIMITIVES = [
-    "add", "sub", "mul", "div", "scalar_mix", "affine", "relu", "concat",
+    "add", "sub", "mul", "div", "scalar_mix", "affine", "affine_relu", "relu", "concat",
     "sum", "gather", "scatter_add", "layer_norm", "sqrt", "dot", "cross3",
     "pow3", "atan2", "scale_rows",
 ]
@@ -215,13 +232,82 @@ def test_two_backward_passes_are_bitwise_identical():
         out = dc.sum_all(dc.relu(dc.affine(x, w, b)))
     tape.backward(out)
     first = {id(t): t.grad.copy() for t in (x, w, b)}
-    for node in tape.nodes:
-        node.out.grad = None
     for t in (x, w, b):
         t.grad = None
     tape.backward(out)
     for t in (x, w, b):
         assert np.array_equal(first[id(t)], t.grad)
+
+
+def test_backward_frees_every_intermediate_gradient():
+    r = rng(11)
+    x = leaf(r.normal(size=(6, 3)))
+    w = leaf(r.normal(size=(3, 4)))
+    b = leaf(r.normal(size=4))
+    idx = np.array([0, 2, 2, 5, 1])
+    tape = dc.Tape()
+    with dc.recording(tape):
+        h = dc.affine(x, w, b, relu=True)
+        summed = dc.scatter_add(dc.gather(h, idx), idx, 6)
+        out = dc.sum_all(dc.mul(dc.add(summed, h), h))
+    tape.backward(out)
+    assert len(tape.nodes) == 6  # the nodes stay for replay and inspection
+    assert all(node.out.grad is None for node in tape.nodes)
+    assert all(t.grad is not None and t.grad.shape == t.data.shape for t in (x, w, b))
+
+
+def _oracle_mlp_call(self, x):
+    """The unfused hidden layer: a separate affine node, then a relu node."""
+    last = len(self.weights) - 1
+    for i, (w, b) in enumerate(zip(self.weights, self.biases)):
+        x = dc.affine(x, w, b)
+        if i < last:
+            x = dc.relu(x)
+    return x
+
+
+def _network_step_gradients():
+    scene = pio.scene_from_dict(drape_sphere_preset(6, frames=4))
+    config = net.NetworkConfig(latent_dim=16, gamma=0.9, k_steps=3, processor_depth=1)
+    ctx = SimContext.build(scene, config, calibrate(3, mean_edge_length(scene.garment)))
+    params = net.init_params(config, seed=5, dtype=np.float32)
+    state = scene.initial_state()
+    tape = dc.Tape()
+    with dc.recording(tape):
+        next_state, pred = advance(ctx, state, 0, params)
+        loss, _ = frame_loss(ctx, pred, state, next_state)
+    tape.backward(loss)
+    return {k: t.grad for k, t in params.named_tensors().items()}, len(tape.nodes)
+
+
+def test_fused_relu_network_gradients_match_unfused_oracle_bitwise(monkeypatch):
+    fused, fused_nodes = _network_step_gradients()
+    monkeypatch.setattr(net.Mlp, "__call__", _oracle_mlp_call)
+    oracle, oracle_nodes = _network_step_gradients()
+    assert fused_nodes < oracle_nodes
+    assert set(fused) == set(oracle)
+    for key in oracle:
+        assert oracle[key] is not None, key
+        assert np.array_equal(fused[key], oracle[key]), key
+
+
+def test_tape_is_per_thread():
+    x = leaf([1.0, 2.0])
+
+    def worker():
+        dc.mul(x, x)  # no tape in this thread: must not reach the main thread's
+        own = dc.Tape()
+        with dc.recording(own):
+            dc.sum_all(dc.mul(x, x))
+        return len(own.nodes)
+
+    tape = dc.Tape()
+    with dc.recording(tape):
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            worker_nodes = pool.submit(worker).result(timeout=60)
+        dc.sum_all(x)
+    assert worker_nodes == 2
+    assert len(tape.nodes) == 1
 
 
 def test_no_tape_means_no_tracking():
