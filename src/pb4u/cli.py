@@ -12,6 +12,7 @@ Exit codes are a stable scripting contract:
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -121,15 +122,11 @@ def _load_model(ckpt_path):
     return params, config, ctrl
 
 
-def _build_context(args, scene, config, ctrl, forced_k=None) -> SimContext:
-    return SimContext.build(
-        scene,
-        config,
-        ctrl,
-        adaptive_k=not getattr(args, "no_adaptive_k", False),
-        update_scaling=not getattr(args, "no_update_scaling", False),
-        forced_k=forced_k if forced_k is not None else getattr(args, "forced_k", None),
-    )
+def _build_context(args, scene, config, ctrl) -> SimContext:
+    forced_k = args.forced_k
+    if forced_k is None and args.no_adaptive_k:
+        forced_k = ctrl.k_base
+    return SimContext.build(scene, config, ctrl, update_scaling=not args.no_update_scaling, forced_k=forced_k)
 
 
 def _cmd_gen_scene(args) -> int:
@@ -143,7 +140,7 @@ def _cmd_gen_scene(args) -> int:
 def _cmd_train(args, seed_override) -> int:
     config = pio.load_train_config(args.config)
     if seed_override is not None:
-        config.seed = seed_override
+        config = dataclasses.replace(config, seed=seed_override)
     scenes = [pio.load_scene(p) for p in config.scenes]
     result = train(config, scenes, diagnostics_dir=Path(args.out).parent)
     pio.save_checkpoint(result.params, args.out, meta=result.checkpoint_meta())

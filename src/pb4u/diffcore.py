@@ -87,11 +87,10 @@ def _wrap(value, like: Tensor) -> Tensor:
 
 
 class _Node:
-    __slots__ = ("out", "parents", "pull")
+    __slots__ = ("out", "pull")
 
-    def __init__(self, out: Tensor, parents: tuple[Tensor, ...], pull: Callable[[np.ndarray], None]):
+    def __init__(self, out: Tensor, pull: Callable[[np.ndarray], None]):
         self.out = out
-        self.parents = parents
         self.pull = pull
 
 
@@ -134,7 +133,7 @@ def _record(out: Tensor, parents: tuple[Tensor, ...], pull: Callable[[np.ndarray
     tape = _ACTIVE.get()
     if tape is not None and any(p.tracked for p in parents):
         out.tracked = True
-        tape.nodes.append(_Node(out, parents, pull))
+        tape.nodes.append(_Node(out, pull))
     return out
 
 
@@ -281,10 +280,15 @@ def sum_all(x: Tensor) -> Tensor:
     return _record(out, (x,), pull)
 
 
-def _scatter_rows(values: np.ndarray, index: np.ndarray, size: int) -> np.ndarray:
-    # bincount accumulates each destination slot sequentially in row order
-    # (independent of other slots), at float64: deterministic sums that match
-    # a per-destination loop over the rows exactly
+def segment_sum(values: np.ndarray, index: np.ndarray, size: int) -> np.ndarray:
+    """out[i] = sum of the rows values[r] with index[r] == i, for 1-D or 2-D
+    values; the program's one scatter-add over plain arrays.
+
+    Each output slot accumulates sequentially in row order (independent of
+    the other slots) at float64, so the sums are deterministic and match a
+    per-destination loop over the rows exactly; the result has the dtype of
+    ``values``.
+    """
     if values.ndim == 1:
         out = np.bincount(index, weights=values, minlength=size)
         return out.astype(values.dtype, copy=False)
@@ -303,7 +307,7 @@ def gather(x: Tensor, index) -> Tensor:
     out = Tensor(x.data[index])
 
     def pull(g):
-        _acc_owned(x, _scatter_rows(g, index, x.data.shape[0]))
+        _acc_owned(x, segment_sum(g, index, x.data.shape[0]))
 
     return _record(out, (x,), pull)
 
@@ -314,7 +318,7 @@ def scatter_add(values: Tensor, index, size: int) -> Tensor:
         raise InvalidArgument("scatter_add: index must be 1-D matching the leading axis")
     if index.size and (index.min() < 0 or index.max() >= size):
         raise InvalidArgument("scatter_add: index out of range")
-    out = Tensor(_scatter_rows(values.data, index, size))
+    out = Tensor(segment_sum(values.data, index, size))
 
     def pull(g):
         _acc_owned(values, g[index])

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgument, InvalidMesh
-from .mesh import TriMesh, lumped_vertex_areas, vertex_normals
+from .mesh import TriMesh, vertex_normals
 
 VERTEX_FEATURE_DIM = 14
 EDGE_FEATURE_DIM = 7
@@ -174,7 +174,7 @@ def vertex_features(
     out = np.zeros((n_g + n_b, VERTEX_FEATURE_DIM), dtype=np.float64)
 
     out[:n_g, 0:3] = state.garment_vel
-    out[:n_g, 3] = garment_mesh.material.mass_density * lumped_vertex_areas(garment_mesh)
+    out[:n_g, 3] = garment_mesh.material.mass_density * garment_mesh.lumped_areas
     out[:n_g, 4:7] = vertex_normals(state.garment_pos, garment_mesh)
     out[:n_g, 7:12] = material
     out[:n_g, 12] = 1.0

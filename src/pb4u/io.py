@@ -28,8 +28,8 @@ from .errors import ConfigMismatch, FormatError, InvalidArgument, IoError
 from .mesh import MaterialParams, load_obj_mesh, make_grid_cloth
 from .network import Mlp, ModelParams, ProcessorBlock
 from .diffcore import Tensor
-from .physics import LossWeights
-from .scenes import BodySpec, Scene, build_scene
+from .physics import DEFAULT_CONTACT_MARGIN, LossWeights
+from .scenes import DEFAULT_BODY_LAT, DEFAULT_BODY_LON, BodySpec, Scene, build_scene
 
 MAGIC = b"PB4UCKPT"
 VERSION = 1
@@ -289,8 +289,8 @@ def scene_from_dict(doc: dict, base_dir: Path | None = None) -> Scene:
             kind=b_doc["type"],
             radius=float(b_doc["radius"]),
             keyframes=np.asarray(b_doc["keyframes"], dtype=np.float64),
-            lat=int(b_doc.get("lat", 12)),
-            lon=int(b_doc.get("lon", 18)),
+            lat=int(b_doc.get("lat", DEFAULT_BODY_LAT)),
+            lon=int(b_doc.get("lon", DEFAULT_BODY_LON)),
         )
         scene = build_scene(
             garment,
@@ -303,7 +303,7 @@ def scene_from_dict(doc: dict, base_dir: Path | None = None) -> Scene:
             gravity=float(doc["gravity"]),
             world_radius=float(doc["world_edge_radius"]),
             frames=int(doc["frames"]),
-            contact_margin=float(doc.get("contact_margin", 0.002)),
+            contact_margin=float(doc.get("contact_margin", DEFAULT_CONTACT_MARGIN)),
         )
     except InvalidArgument as exc:
         raise FormatError(f"bad scene: {exc}") from exc
@@ -335,8 +335,9 @@ def load_train_config(path):
     _require(isinstance(doc, dict), "training config must be a JSON object")
     unknown = set(doc) - _TRAIN_KEYS
     _require(not unknown, f"unknown training config fields: {sorted(unknown)}")
-    _require("scenes" in doc and isinstance(doc["scenes"], list) and doc["scenes"],
-             "training config needs a non-empty scene list")
+    _require("scenes" in doc and isinstance(doc["scenes"], list) and doc["scenes"]
+             and all(isinstance(p, str) for p in doc["scenes"]),
+             "training config needs a non-empty list of scene paths")
     weights_doc = doc.get("weights", {})
     _require(isinstance(weights_doc, dict) and set(weights_doc) <= {
         "stretch", "bending", "collision", "gravity", "friction", "inertia"},
@@ -346,5 +347,5 @@ def load_train_config(path):
     kwargs = {k: doc[k] for k in doc if k not in ("scenes", "weights")}
     try:
         return TrainConfig(scenes=scene_paths, weights=LossWeights(**weights_doc), **kwargs)
-    except (TypeError, InvalidArgument) as exc:
+    except InvalidArgument as exc:
         raise FormatError(f"{path}: bad training config: {exc}") from exc

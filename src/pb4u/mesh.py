@@ -10,6 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .diffcore import segment_sum
 from .errors import FormatError, InvalidArgument, InvalidMesh, IoError
 
 _MIN_AREA = 1e-14
@@ -66,6 +67,8 @@ class TriMesh:
     edges: np.ndarray           # (E, 2) int64, unique pairs with i < j, lexicographic
     rest_edge_lengths: np.ndarray  # (E,) float64
     triangle_edges: np.ndarray  # (T, 3) int64, index in edges of sides (a,b), (b,c), (c,a)
+    triangle_areas: np.ndarray  # (T,) float64, rest area of each triangle
+    lumped_areas: np.ndarray    # (V,) float64, one third of the incident rest triangle area
     material: MaterialParams
 
     @property
@@ -91,6 +94,8 @@ class TriMesh:
         areas = 0.5 * np.linalg.norm(np.cross(a, b), axis=1)
         if np.any(areas <= _MIN_AREA):
             raise InvalidMesh("degenerate triangle (zero rest area)")
+        # each vertex sums its corners column by column: all first corners, then second, then third
+        lumped = segment_sum(np.tile(areas / 3.0, 3), triangles.T.ravel(), n)
         # the one place that decides which undirected edge a triangle side is
         sides = triangles[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
         lo, hi = np.sort(sides, axis=1).T
@@ -110,7 +115,7 @@ class TriMesh:
         )
         if np.any(lengths <= 0):
             raise InvalidMesh("zero-length rest edge")
-        return cls(rest_positions, triangles, edges, lengths, triangle_edges, material)
+        return cls(rest_positions, triangles, edges, lengths, triangle_edges, areas, lumped, material)
 
 
 def make_grid_cloth(n: int, side: float, material: MaterialParams) -> TriMesh:
@@ -166,26 +171,8 @@ def rest_scale_factors(mesh: TriMesh) -> ScaleFactors:
     dst = np.concatenate([mesh.edges[:, 1], mesh.edges[:, 0]])
     lengths = np.concatenate([mesh.rest_edge_lengths, mesh.rest_edge_lengths])
     order = np.lexsort((dst, src))
-    total = np.zeros(mesh.vertex_count)
-    count = np.zeros(mesh.vertex_count)
-    np.add.at(total, src[order], lengths[order])
-    np.add.at(count, src, 1.0)
-    return ScaleFactors(total / count)
-
-
-def triangle_areas(positions: np.ndarray, triangles: np.ndarray) -> np.ndarray:
-    a = positions[triangles[:, 1]] - positions[triangles[:, 0]]
-    b = positions[triangles[:, 2]] - positions[triangles[:, 0]]
-    return 0.5 * np.linalg.norm(np.cross(a, b), axis=1)
-
-
-def lumped_vertex_areas(mesh: TriMesh) -> np.ndarray:
-    """One third of the incident rest triangle area per vertex."""
-    areas = triangle_areas(mesh.rest_positions, mesh.triangles)
-    out = np.zeros(mesh.vertex_count)
-    for col in range(3):
-        np.add.at(out, mesh.triangles[:, col], areas / 3.0)
-    return out
+    total = segment_sum(lengths[order], src[order], mesh.vertex_count)
+    return ScaleFactors(total / np.bincount(src, minlength=mesh.vertex_count))
 
 
 def vertex_normals(positions: np.ndarray, mesh: TriMesh) -> np.ndarray:
@@ -199,9 +186,8 @@ def vertex_normals(positions: np.ndarray, mesh: TriMesh) -> np.ndarray:
     a = positions[mesh.triangles[:, 1]] - positions[mesh.triangles[:, 0]]
     b = positions[mesh.triangles[:, 2]] - positions[mesh.triangles[:, 0]]
     face = np.cross(a, b)  # length = 2 * area, so summing is area weighting
-    acc = np.zeros_like(positions)
-    for col in range(3):
-        np.add.at(acc, mesh.triangles[:, col], face)
+    # corners summed in the lumped areas' order
+    acc = segment_sum(np.tile(face, (3, 1)), mesh.triangles.T.ravel(), mesh.vertex_count)
     norms = np.linalg.norm(acc, axis=1)
     degenerate = norms < 1e-300
     acc[degenerate] = (0.0, 1.0, 0.0)

@@ -57,10 +57,6 @@ class Mlp:
     def in_dim(self) -> int:
         return self.weights[0].data.shape[0]
 
-    @property
-    def out_dim(self) -> int:
-        return self.weights[-1].data.shape[1]
-
 
 @dataclass
 class ProcessorBlock:

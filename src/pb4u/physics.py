@@ -13,15 +13,17 @@ reported terms.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import diffcore as dc
 from .diffcore import Tensor
-from .errors import InvalidMesh, NumericDivergence
+from .errors import InvalidArgument, InvalidMesh, NumericDivergence
 from .graph import SimState, build_world_edges
-from .mesh import TriMesh, lumped_vertex_areas, triangle_areas
+from .mesh import TriMesh
 
 DEFAULT_CONTACT_MARGIN = 2e-3  # meters
 
@@ -36,6 +38,13 @@ class LossWeights:
     gravity: float = 1.0
     friction: float = 1.0
     inertia: float = 1.0
+
+    def __post_init__(self):
+        for name in _FIELDS:
+            value = getattr(self, name)
+            finite = not isinstance(value, bool) and isinstance(value, numbers.Real) and math.isfinite(value)
+            if not finite or value < 0:
+                raise InvalidArgument(f"loss weight {name} must be a finite number >= 0, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -90,52 +99,52 @@ def build_rest_geometry(mesh: TriMesh) -> RestGeometry:
         [(d1 * d1).sum(axis=1), (d1 * d2).sum(axis=1), (d2 * d2).sum(axis=1)], axis=1
     )
 
-    hinges, tri_area_by_edge = _interior_hinges(mesh)
-    edge_len = np.linalg.norm(pos[hinges[:, 1]] - pos[hinges[:, 0]], axis=1)
-
-    masses = mesh.material.mass_density * lumped_vertex_areas(mesh)
+    hinges, hinge_weights = _interior_hinges(mesh)
     return RestGeometry(
         inv_shape=inv_shape,
         rest_areas=areas,
         rest_gram=rest_gram,
         hinges=hinges,
-        rest_dihedrals=_dihedral_angles(pos, hinges),
-        hinge_weights=edge_len / tri_area_by_edge,
-        vertex_masses=masses,
+        rest_dihedrals=dihedral_angles(Tensor(pos), hinges).data,
+        hinge_weights=hinge_weights,
+        vertex_masses=mesh.material.mass_density * mesh.lumped_areas,
     )
 
 
 def _interior_hinges(mesh: TriMesh) -> tuple[np.ndarray, np.ndarray]:
     """Edges shared by two triangles, in edge order, stored as (i, j, k, l)
     with the first triangle (lower side index 3*t + s) traversing i -> j and
-    opposite vertices k, l; plus the summed rest area of each hinge's two
-    triangles."""
+    opposite vertices k, l; plus each hinge's weight, its rest edge length
+    over the summed rest area of its two triangles."""
     side_edge = mesh.triangle_edges.ravel()
     order = np.argsort(side_edge, kind="stable")
     # from_triangles caps every edge at two sides, so equal neighbours in
     # edge order are exactly the interior pairs
     shared = np.flatnonzero(side_edge[order[1:]] == side_edge[order[:-1]])
+    hinge_edges = side_edge[order[shared]]
     t1, s1 = np.divmod(order[shared], 3)
     t2, s2 = np.divmod(order[shared + 1], 3)
     tris = mesh.triangles
     hinges = np.stack(
         [tris[t1, s1], tris[t1, (s1 + 1) % 3], tris[t1, (s1 + 2) % 3], tris[t2, (s2 + 2) % 3]], axis=1
     )
-    areas = triangle_areas(mesh.rest_positions, tris)
-    return hinges, areas[t1] + areas[t2]
+    areas = mesh.triangle_areas
+    return hinges, mesh.rest_edge_lengths[hinge_edges] / (areas[t1] + areas[t2])
 
 
-def _dihedral_angles(positions: np.ndarray, hinges: np.ndarray) -> np.ndarray:
-    xi = positions[hinges[:, 0]]
-    xj = positions[hinges[:, 1]]
-    xk = positions[hinges[:, 2]]
-    xl = positions[hinges[:, 3]]
-    edge = xj - xi
-    n1 = np.cross(xj - xi, xk - xi)
-    n2 = np.cross(xi - xj, xl - xj)
-    sin_part = (np.cross(n1, n2) * edge).sum(axis=1) / np.linalg.norm(edge, axis=1)
-    cos_part = (n1 * n2).sum(axis=1)
-    return np.arctan2(sin_part, cos_part)
+def dihedral_angles(positions: Tensor, hinges: np.ndarray) -> Tensor:
+    """Signed dihedral angle of each hinge (i, j, k, l), zero when flat: the
+    angle between the normals of triangles (i, j, k) and (j, i, l), signed
+    along the edge i -> j."""
+    xi = dc.gather(positions, hinges[:, 0])
+    xj = dc.gather(positions, hinges[:, 1])
+    xk = dc.gather(positions, hinges[:, 2])
+    xl = dc.gather(positions, hinges[:, 3])
+    edge = dc.sub(xj, xi)
+    n1 = dc.cross3(dc.sub(xj, xi), dc.sub(xk, xi))
+    n2 = dc.cross3(dc.sub(xi, xj), dc.sub(xl, xj))
+    sin_part = dc.div(dc.dot(dc.cross3(n1, n2), edge), dc.sqrt(dc.dot(edge, edge)))
+    return dc.atan2(sin_part, dc.dot(n1, n2))
 
 
 def stretch_energy(positions: Tensor, rest: RestGeometry, material, triangles: np.ndarray) -> Tensor:
@@ -180,18 +189,8 @@ def bending_energy(positions: Tensor, rest: RestGeometry, material) -> Tensor:
     signed dihedral angle (zero when flat)."""
     if rest.hinges.shape[0] == 0:
         return Tensor(np.asarray(0.0, positions.dtype))
-    xi = dc.gather(positions, rest.hinges[:, 0])
-    xj = dc.gather(positions, rest.hinges[:, 1])
-    xk = dc.gather(positions, rest.hinges[:, 2])
-    xl = dc.gather(positions, rest.hinges[:, 3])
-    edge = dc.sub(xj, xi)
-    n1 = dc.cross3(dc.sub(xj, xi), dc.sub(xk, xi))
-    n2 = dc.cross3(dc.sub(xi, xj), dc.sub(xl, xj))
-    sin_part = dc.div(dc.dot(dc.cross3(n1, n2), edge), dc.sqrt(dc.dot(edge, edge)))
-    cos_part = dc.dot(n1, n2)
-    theta = dc.atan2(sin_part, cos_part)
     dtype = positions.dtype
-    dev = dc.sub(theta, Tensor(rest.rest_dihedrals.astype(dtype)))
+    dev = dc.sub(dihedral_angles(positions, rest.hinges), Tensor(rest.rest_dihedrals.astype(dtype)))
     weights = (material.bending_coeff * rest.hinge_weights).astype(dtype)
     return dc.sum_all(dc.mul(dc.mul(dev, dev), Tensor(weights)))
 

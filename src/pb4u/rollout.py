@@ -44,19 +44,15 @@ class SimContext:
         config: net.NetworkConfig,
         ctrl: ControlConfig,
         *,
-        adaptive_k: bool = True,
         update_scaling: bool = True,
         forced_k: int | None = None,
         weights: LossWeights | None = None,
         dtype=np.float32,
     ) -> "SimContext":
+        """K follows the mesh resolution (``propagation_steps``) unless
+        ``forced_k`` sets it outright."""
         edge = mean_edge_length(scene.garment)
-        if forced_k is not None:
-            k = int(forced_k)
-        elif adaptive_k:
-            k = propagation_steps(ctrl, edge)
-        else:
-            k = ctrl.k_base
+        k = propagation_steps(ctrl, edge) if forced_k is None else int(forced_k)
         scale = rest_scale_factors(scene.garment) if update_scaling else ScaleFactors(
             np.ones(scene.garment.vertex_count)
         )

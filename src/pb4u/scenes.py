@@ -8,13 +8,14 @@ experience buffer that training samples from.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .errors import InvalidArgument, InvalidState
 from .graph import SimState
-from .mesh import MaterialParams, TriMesh, make_grid_cloth, mean_edge_length
+from .mesh import DEFAULT_MATERIAL, MaterialParams, TriMesh, make_grid_cloth, mean_edge_length
+from .physics import DEFAULT_CONTACT_MARGIN
 
 DEFAULT_BODY_LAT = 12
 DEFAULT_BODY_LON = 18
@@ -193,71 +194,51 @@ def build_scene(
     )
 
 
-def drape_sphere_preset(grid_n: int, side: float = 1.0, frames: int = 48, dt: float = 0.02) -> dict:
-    """Cloth grid falling onto a gently swaying sphere."""
+def _grid_preset(grid_n: int, side: float, frames: int, dt: float, garment: dict, body_radius: float,
+                 body_centers: tuple) -> dict:
+    """Scene document of an n x n grid garment placed by ``garment`` (plane,
+    origin, pinned) and a sphere keyframed at ``body_centers``, the centres at
+    the start, middle and end of the scene."""
     if grid_n < 2:
         raise InvalidArgument(f"grid needs n >= 2, got {grid_n}")
-    probe = make_grid_cloth(grid_n, side, _preset_material_params())
-    radius = 1.5 * mean_edge_length(probe)
+    probe = make_grid_cloth(grid_n, side, DEFAULT_MATERIAL)
     duration = frames * dt
     return {
         "format": "pb4u-scene",
         "version": 1,
-        "garment": {"kind": "grid", "n": grid_n, "side": side, "plane": "xz",
-                    "origin": [0.0, 0.0, 0.0], "pinned": []},
-        "body": {"type": "sphere", "radius": 0.25,
-                 "keyframes": [[0.0, 0.0, -0.3, 0.0],
-                               [duration / 2.0, 0.06, -0.3, 0.0],
-                               [duration, -0.06, -0.3, 0.0]],
+        "garment": {"kind": "grid", "n": grid_n, "side": side, **garment},
+        "body": {"type": "sphere", "radius": body_radius,
+                 "keyframes": [[t, *c] for t, c in zip((0.0, duration / 2.0, duration), body_centers)],
                  "lat": DEFAULT_BODY_LAT, "lon": DEFAULT_BODY_LON},
-        "material": _preset_material(),
+        "material": asdict(DEFAULT_MATERIAL),
         "dt": dt,
         "gravity": 9.81,
-        "world_edge_radius": radius,
+        "world_edge_radius": 1.5 * mean_edge_length(probe),
         "frames": frames,
-        "contact_margin": 0.002,
+        "contact_margin": DEFAULT_CONTACT_MARGIN,
     }
+
+
+def drape_sphere_preset(grid_n: int, side: float = 1.0, frames: int = 48, dt: float = 0.02) -> dict:
+    """Cloth grid falling onto a gently swaying sphere."""
+    return _grid_preset(
+        grid_n, side, frames, dt,
+        garment={"plane": "xz", "origin": [0.0, 0.0, 0.0], "pinned": []},
+        body_radius=0.25,
+        body_centers=([0.0, -0.3, 0.0], [0.06, -0.3, 0.0], [-0.06, -0.3, 0.0]),
+    )
 
 
 def hang_pinned_preset(grid_n: int, side: float = 1.0, frames: int = 48, dt: float = 0.02) -> dict:
     """Vertical cloth pinned along its top row; a sphere swings through it."""
-    if grid_n < 2:
-        raise InvalidArgument(f"grid needs n >= 2, got {grid_n}")
-    probe = make_grid_cloth(grid_n, side, _preset_material_params())
-    radius = 1.5 * mean_edge_length(probe)
-    duration = frames * dt
+    top = 0.05 + side / 2.0
     pinned = [i * grid_n for i in range(grid_n)]  # j = 0 column becomes the top row
-    return {
-        "format": "pb4u-scene",
-        "version": 1,
-        "garment": {"kind": "grid", "n": grid_n, "side": side, "plane": "xy",
-                    "origin": [0.0, 0.05 + side / 2.0, 0.0], "pinned": pinned},
-        "body": {"type": "sphere", "radius": 0.18,
-                 "keyframes": [[0.0, 0.0, 0.05 + side / 2.0, 0.45],
-                               [duration / 2.0, 0.0, 0.05 + side / 2.0, 0.14],
-                               [duration, 0.0, 0.05 + side / 2.0, 0.45]],
-                 "lat": DEFAULT_BODY_LAT, "lon": DEFAULT_BODY_LON},
-        "material": _preset_material(),
-        "dt": dt,
-        "gravity": 9.81,
-        "world_edge_radius": radius,
-        "frames": frames,
-        "contact_margin": 0.002,
-    }
-
-
-def _preset_material() -> dict:
-    return {
-        "lame_mu": 2000.0,
-        "lame_lambda": 2000.0,
-        "bending_coeff": 1e-5,
-        "mass_density": 0.3,
-        "friction_coeff": 0.5,
-    }
-
-
-def _preset_material_params() -> MaterialParams:
-    return MaterialParams(**_preset_material())
+    return _grid_preset(
+        grid_n, side, frames, dt,
+        garment={"plane": "xy", "origin": [0.0, top, 0.0], "pinned": pinned},
+        body_radius=0.18,
+        body_centers=([0.0, top, 0.45], [0.0, top, 0.14], [0.0, top, 0.45]),
+    )
 
 
 PRESETS = {

@@ -11,6 +11,8 @@ ever subdivides a mesh.
 from __future__ import annotations
 
 import json
+import math
+import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -28,6 +30,13 @@ from .scenes import BufferedFrame, Scene, sample_frame
 
 TRAIN_LOG_COLUMNS = ("stretch", "bending", "collision", "gravity", "friction", "inertia", "total")
 
+# the least value of each count field of TrainConfig
+_COUNT_MINIMUMS = {
+    "iterations": 1, "seed": 0, "k_base": 1, "processor_depth": 0, "latent_dim": 1,
+    "buffer_refresh": 1, "rollout_steps": 1,
+}
+_REAL_FIELDS = ("learning_rate", "beta1", "beta2", "epsilon", "gamma", "grad_clip")
+
 
 @dataclass
 class TrainConfig:
@@ -43,19 +52,31 @@ class TrainConfig:
     processor_depth: int = 3
     latent_dim: int = 128
     weights: LossWeights = field(default_factory=LossWeights)
-    grad_clip: float = 1.0
+    grad_clip: float = 1.0      # 0 disables clipping
     buffer_refresh: int = 50
     rollout_steps: int = 1
 
     def __post_init__(self):
-        if self.iterations < 1:
-            raise InvalidArgument("iterations must be >= 1")
+        for name, least in _COUNT_MINIMUMS.items():
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise InvalidArgument(f"{name} must be an integer, got {value!r}")
+            if value < least:
+                raise InvalidArgument(f"{name} must be >= {least}, got {value}")
+        for name in _REAL_FIELDS:
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+                raise InvalidArgument(f"{name} must be a finite number, got {value!r}")
         if self.learning_rate < 0:
             raise InvalidArgument("learning rate must be nonnegative")
-        if self.rollout_steps < 1:
-            raise InvalidArgument("rollout_steps must be >= 1")
-        if self.buffer_refresh < 1:
-            raise InvalidArgument("buffer_refresh must be >= 1")
+        for name in ("beta1", "beta2"):
+            if not 0 <= getattr(self, name) < 1:
+                raise InvalidArgument(f"{name} must be in [0, 1), got {getattr(self, name)}")
+        if self.epsilon <= 0:
+            raise InvalidArgument(f"epsilon must be positive, got {self.epsilon}")
+        if self.grad_clip < 0:
+            raise InvalidArgument(f"grad_clip must be >= 0 (0 disables clipping), got {self.grad_clip}")
+        self.network_config()  # gamma in [0, 1]
 
     def network_config(self) -> net.NetworkConfig:
         return net.NetworkConfig(
@@ -112,6 +133,12 @@ def clip_gradients(grads: dict, max_norm: float) -> float:
 # scale a resting cloth actually reaches under the cubic penalty
 _FREE_FALL_PENETRATION = 0.04
 _REROLL_PENETRATION_FRACTION = 0.5
+# a re-rolled state is kept while every coordinate stays within this many
+# meters of the origin, every speed below this many m/s, and every edge
+# within this factor of its rest length (either way)
+_SANE_EXTENT = 5.0
+_SANE_SPEED = 5.0
+_SANE_STRETCH = 2.0
 
 
 def _free_fall_states(scene: Scene) -> list:
@@ -141,28 +168,20 @@ def _free_fall_states(scene: Scene) -> list:
     return states
 
 
-def _state_is_sane(scene: Scene, state: SimState, frame: int, extent: float, speed: float, stretch: float) -> bool:
-    if np.abs(state.garment_pos).max() > extent:
+def _state_is_sane(scene: Scene, state: SimState, frame: int) -> bool:
+    if np.abs(state.garment_pos).max() > _SANE_EXTENT:
         return False
-    if float(np.linalg.norm(state.garment_vel, axis=1).max()) > speed:
+    if float(np.linalg.norm(state.garment_vel, axis=1).max()) > _SANE_SPEED:
         return False
     if scene.max_penetration(state.garment_pos, frame) > _REROLL_PENETRATION_FRACTION * scene.body.radius:
         return False
     edges = scene.garment.edges
     lengths = np.linalg.norm(state.garment_pos[edges[:, 1]] - state.garment_pos[edges[:, 0]], axis=1)
     ratio = lengths / scene.garment.rest_edge_lengths
-    return bool(ratio.max() <= stretch and ratio.min() >= 1.0 / stretch)
+    return bool(ratio.max() <= _SANE_STRETCH and ratio.min() >= 1.0 / _SANE_STRETCH)
 
 
-def refresh_buffer(
-    scene: Scene,
-    ctx: SimContext,
-    params,
-    use_model: bool,
-    sane_extent: float = 5.0,
-    sane_speed: float = 5.0,
-    sane_stretch: float = 2.0,
-) -> None:
+def refresh_buffer(scene: Scene, ctx: SimContext, params, use_model: bool) -> None:
     """Re-roll the scene with the current model, keeping the prefix of frames
     that stay physically plausible.
 
@@ -176,7 +195,7 @@ def refresh_buffer(
     result = run_rollout(ctx, params, scene.frames - 1, compute_losses=False)
     frames = [BufferedFrame(0, scene.initial_state())]
     for f, state in enumerate(result.states):
-        if not _state_is_sane(scene, state, f + 1, sane_extent, sane_speed, sane_stretch):
+        if not _state_is_sane(scene, state, f + 1):
             break
         frames.append(BufferedFrame(f + 1, state))
     if len(frames) < scene.frames // 2:

@@ -52,6 +52,20 @@ def test_train_missing_config_is_io_error(tmp_path):
     assert main(["train", "--config", str(tmp_path / "absent.json"), "--out", str(tmp_path / "m.ckpt")]) == 2
 
 
+@pytest.mark.parametrize("field, value", [
+    ("iterations", 2.5), ("latent_dim", 8.5), ("processor_depth", 1.5), ("rollout_steps", 1.5),
+    ("seed", 1.5), ("weights", {"stretch": "a"}), ("beta1", 1.0), ("epsilon", 0.0),
+    ("buffer_refresh", 2.5), ("k_base", 8.5), ("iterations", True), ("grad_clip", -1),
+])
+def test_train_bad_config_value_is_format_error(tmp_path, capsys, field, value):
+    cfg = tmp_path / "train.json"
+    cfg.write_text(json.dumps({"scenes": ["scene.json"], "iterations": 1, field: value}))
+    assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "m.ckpt")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "bad training config" in err and err.count("\n") == 1
+    assert not (tmp_path / "m.ckpt").exists()
+
+
 def test_train_log_has_one_row_per_iteration(workdir):
     log = (workdir / "model.ckpt.log.csv").read_text().strip().splitlines()
     assert log[0] == "iter,stretch,bending,collision,gravity,friction,inertia,total"
@@ -164,6 +178,28 @@ def test_eval_subdivided_scene_needs_k_at_least_base(workdir, tmp_path):
     k_base = json.loads(base_report.read_text())["mesh"]["k_steps"]
     k_fine = json.loads(fine_report.read_text())["mesh"]["k_steps"]
     assert k_fine >= k_base
+
+
+def test_eval_k_flags(workdir, tmp_path):
+    """K follows the mesh unless --no-adaptive-k pins it to K_base or
+    --forced-k sets it; --forced-k wins when both are given."""
+    fine_doc = json.loads((workdir / "scene.json").read_text())
+    fine_doc["garment"]["n"] = 15
+    fine_path = tmp_path / "fine.json"
+    pio.save_scene(fine_doc, fine_path)
+    _, meta = pio.load_checkpoint(workdir / "model.ckpt")
+
+    def k_steps(*flags):
+        report = tmp_path / "report.json"
+        assert main(["eval", "--ckpt", str(workdir / "model.ckpt"), "--scene", str(fine_path),
+                     "--frames", "1", "--report", str(report), *flags]) == 0
+        return json.loads(report.read_text())["mesh"]["k_steps"]
+
+    k_base = int(meta["k_base"])
+    assert k_steps() > k_base
+    assert k_steps("--no-adaptive-k") == k_base
+    assert k_steps("--forced-k", "5") == 5
+    assert k_steps("--no-adaptive-k", "--forced-k", "2") == 2
 
 
 def test_sweep_k_rows_and_determinism(workdir, tmp_path):

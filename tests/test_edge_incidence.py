@@ -1,8 +1,11 @@
-"""The triangle-to-edge incidence table against dict-keyed loop oracles.
+"""Per-mesh rest quantities against loop oracles, bitwise.
 
 Hinges, hinge weights, rest dihedrals and midpoint subdivision are built from
 ``TriMesh.triangle_edges``; the oracles below rebuild each from the triangle
-list alone, keying every side by its sorted vertex pair, and the results must
+list alone, keying every side by its sorted vertex pair. Lumped areas,
+vertex normals and scale factors go through ``segment_sum``; their oracles
+are the per-corner ``np.add.at`` loops it replaced. Triangle areas and
+dihedral angles are checked against plain numpy formulas. The results must
 match bitwise.
 """
 
@@ -11,6 +14,7 @@ import pytest
 
 from pb4u import mesh as m
 from pb4u import physics
+from pb4u.diffcore import Tensor
 from pb4u.scenes import uv_sphere
 
 MAT = m.DEFAULT_MATERIAL
@@ -37,10 +41,33 @@ def mesh(request):
     }[request.param]()
 
 
+def _cross_areas(positions, triangles):
+    a = positions[triangles[:, 1]] - positions[triangles[:, 0]]
+    b = positions[triangles[:, 2]] - positions[triangles[:, 0]]
+    return 0.5 * np.linalg.norm(np.cross(a, b), axis=1)
+
+
+def _numpy_dihedrals(positions, hinges):
+    xi, xj, xk, xl = (positions[hinges[:, c]] for c in range(4))
+    edge = xj - xi
+    n1 = np.cross(xj - xi, xk - xi)
+    n2 = np.cross(xi - xj, xl - xj)
+    sin_part = (np.cross(n1, n2) * edge).sum(axis=1) / np.linalg.norm(edge, axis=1)
+    return np.arctan2(sin_part, (n1 * n2).sum(axis=1))
+
+
+def _per_corner_sum(mesh, values):
+    """values[t] added to each corner of triangle t, first corners first."""
+    out = np.zeros((mesh.vertex_count,) + values.shape[1:])
+    for col in range(3):
+        np.add.at(out, mesh.triangles[:, col], values)
+    return out
+
+
 def _oracle_hinges(mesh):
     """Sides grouped by sorted vertex pair in first-seen order; an edge with
     two sides is a hinge (i, j, k, l) with the first side running i -> j."""
-    areas = m.triangle_areas(mesh.rest_positions, mesh.triangles)
+    areas = _cross_areas(mesh.rest_positions, mesh.triangles)
     owners = {}
     area_sums = {}
     for t, (a, b, c) in enumerate(mesh.triangles.tolist()):
@@ -78,7 +105,42 @@ def test_rest_hinges_match_dict_oracle_bitwise(mesh):
     assert hinges.shape[0] > 0
     assert np.array_equal(rest.hinges, hinges)
     assert np.array_equal(rest.hinge_weights, edge_len / area_sums)
-    assert np.array_equal(rest.rest_dihedrals, physics._dihedral_angles(pos, hinges))
+    assert np.array_equal(rest.rest_dihedrals, _numpy_dihedrals(pos, hinges))
+
+
+def test_dihedral_angles_match_numpy_formula_on_moved_positions(mesh):
+    rest = physics.build_rest_geometry(mesh)
+    pos = mesh.rest_positions + 0.02 * np.random.default_rng(5).standard_normal(mesh.rest_positions.shape)
+    got = physics.dihedral_angles(Tensor(pos), rest.hinges).data
+    assert np.array_equal(got, _numpy_dihedrals(pos, rest.hinges))
+
+
+def test_areas_and_masses_match_per_corner_oracle_bitwise(mesh):
+    assert np.array_equal(mesh.triangle_areas, _cross_areas(mesh.rest_positions, mesh.triangles))
+    lumped = _per_corner_sum(mesh, mesh.triangle_areas / 3.0)
+    assert np.array_equal(mesh.lumped_areas, lumped)
+    assert np.array_equal(physics.build_rest_geometry(mesh).vertex_masses, MAT.mass_density * lumped)
+
+
+def test_vertex_normals_match_per_corner_oracle_bitwise(mesh):
+    pos = mesh.rest_positions + 0.05 * np.random.default_rng(7).standard_normal(mesh.rest_positions.shape)
+    a = pos[mesh.triangles[:, 1]] - pos[mesh.triangles[:, 0]]
+    b = pos[mesh.triangles[:, 2]] - pos[mesh.triangles[:, 0]]
+    acc = _per_corner_sum(mesh, np.cross(a, b))
+    expected = acc / np.linalg.norm(acc, axis=1)[:, None]
+    assert np.array_equal(m.vertex_normals(pos, mesh), expected)
+
+
+def test_scale_factors_match_sorted_neighbour_oracle_bitwise(mesh):
+    src = np.concatenate([mesh.edges[:, 0], mesh.edges[:, 1]])
+    dst = np.concatenate([mesh.edges[:, 1], mesh.edges[:, 0]])
+    lengths = np.concatenate([mesh.rest_edge_lengths, mesh.rest_edge_lengths])
+    order = np.lexsort((dst, src))
+    total = np.zeros(mesh.vertex_count)
+    count = np.zeros(mesh.vertex_count)
+    np.add.at(total, src[order], lengths[order])
+    np.add.at(count, src, 1.0)
+    assert np.array_equal(m.rest_scale_factors(mesh).s, total / count)
 
 
 def test_subdivision_matches_loop_oracle_bitwise(mesh):

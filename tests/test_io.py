@@ -2,10 +2,13 @@
 and scene/config file validation."""
 
 import json
+import math
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from pb4u import io as pio
 from pb4u import network as net
@@ -198,3 +201,50 @@ def test_train_config_validation(tmp_path):
     path.write_text(json.dumps({"iterations": 5, "scenes": []}))
     with pytest.raises(FormatError, match="scene"):
         pio.load_train_config(path)
+
+
+_COUNT_MINIMUMS = {"iterations": 1, "seed": 0, "k_base": 1, "processor_depth": 0, "latent_dim": 1,
+                   "buffer_refresh": 1, "rollout_steps": 1}
+_LOSS_NAMES = ("stretch", "bending", "collision", "gravity", "friction", "inertia")
+_SCALAR = (st.none() | st.booleans() | st.integers(-3, 10**4) | st.floats(-2.0, 2.0)
+           | st.floats(allow_nan=True, allow_infinity=True) | st.text(max_size=3))
+_FIELD = st.integers(0, 64) | st.floats(0.0, 1.0, exclude_max=True) | _SCALAR   # often valid, often not
+_JSON = st.recursive(
+    _SCALAR,
+    lambda kids: st.lists(kids, max_size=2) | st.dictionaries(st.text(max_size=3), kids, max_size=2),
+    max_leaves=4,
+)
+_TRAIN_DOCS = st.fixed_dictionaries(
+    {"scenes": st.lists(st.text(min_size=1, max_size=4), min_size=1, max_size=2) | _JSON},
+    optional={
+        **{name: _FIELD for name in (*_COUNT_MINIMUMS, "learning_rate", "beta1", "beta2", "epsilon", "gamma",
+                                     "grad_clip")},
+        "weights": st.dictionaries(st.sampled_from(_LOSS_NAMES), _FIELD, max_size=6) | _JSON,
+        "optimizer": _JSON,
+    },
+) | _JSON
+
+
+def _finite(value):
+    return not isinstance(value, bool) and isinstance(value, (int, float)) and math.isfinite(value)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(doc=_TRAIN_DOCS)
+def test_train_config_loader_returns_valid_config_or_format_error(tmp_path, doc):
+    path = tmp_path / "train.json"
+    path.write_text(json.dumps(doc))
+    try:
+        cfg = pio.load_train_config(path)
+    except FormatError:
+        return
+    assert cfg.scenes and all(isinstance(p, str) for p in cfg.scenes)
+    for name, least in _COUNT_MINIMUMS.items():
+        value = getattr(cfg, name)
+        assert type(value) is int and value >= least, (name, value)
+    for name in ("learning_rate", "beta1", "beta2", "epsilon", "gamma", "grad_clip"):
+        assert _finite(getattr(cfg, name)), name
+    assert cfg.learning_rate >= 0 and cfg.epsilon > 0 and cfg.grad_clip >= 0
+    assert 0 <= cfg.beta1 < 1 and 0 <= cfg.beta2 < 1 and 0 <= cfg.gamma <= 1
+    for name in _LOSS_NAMES:
+        assert _finite(getattr(cfg.weights, name)) and getattr(cfg.weights, name) >= 0, name
