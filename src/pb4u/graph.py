@@ -71,6 +71,10 @@ class SimGraph:
     def receivers(self) -> np.ndarray:
         return np.concatenate([self.mesh_edges[:, 1], self.world_edges[:, 1]])
 
+    @property
+    def world_pairs(self) -> np.ndarray:  # (garment, body), as build_world_edges returned them
+        return np.stack([self.world_edges[:, 1], self.world_edges[:, 0] - self.garment_count], axis=1)
+
 
 # classic spatial-hash primes; int64 products wrap, and key collisions only
 # add candidate pairs that the exact distance test then rejects

@@ -18,13 +18,15 @@ identical parameters always produce identical bytes.
 from __future__ import annotations
 
 import json
+import math
+import numbers
 import struct
 import zlib
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigMismatch, FormatError, InvalidArgument, IoError
+from .errors import ConfigMismatch, FormatError, InvalidArgument, InvalidMesh, IoError
 from .mesh import MaterialParams, load_obj_mesh, make_grid_cloth
 from .network import Mlp, ModelParams, ProcessorBlock
 from .diffcore import Tensor
@@ -119,16 +121,22 @@ def load_tensors(path) -> dict[str, np.ndarray]:
             raise FormatError(f"{path}: malformed header entry for {name!r}")
         if entry["dtype"] != "f32":
             raise FormatError(f"{path}: unsupported dtype {entry['dtype']!r} for {name!r}")
-        shape = tuple(int(s) for s in entry["shape"])
-        nbytes = 4 * int(np.prod(shape)) if shape else 4
-        start = int(entry["byte_offset"])
-        end = start + nbytes
-        if start < 0 or end > len(payload):
+        shape, start = entry["shape"], entry["byte_offset"]
+        if not isinstance(shape, list) or not all(_is_count(s) and s >= 0 for s in shape):
+            raise FormatError(f"{path}: shape of {name!r} must be a list of integers >= 0, got {shape!r}")
+        if not _is_count(start) or start < 0:
+            raise FormatError(f"{path}: byte_offset of {name!r} must be an integer >= 0, got {start!r}")
+        end = start + 4 * math.prod(shape)
+        if end > len(payload):
             raise IoError(
                 f"{path}: tensor {name!r} spans [{start}, {end}) outside payload of {len(payload)} bytes"
             )
         spans.append((start, end, name))
-        out[name] = np.frombuffer(payload, dtype="<f4", count=nbytes // 4, offset=start).reshape(shape).copy()
+        try:
+            tensor = np.frombuffer(payload, dtype="<f4", count=(end - start) // 4, offset=start).reshape(shape)
+        except ValueError as exc:  # more dimensions than numpy supports, or a zero-size one past its size limit
+            raise FormatError(f"{path}: shape {shape} of {name!r} is unusable: {exc}") from exc
+        out[name] = tensor.copy()
     spans.sort()
     for (s1, e1, n1), (s2, _, n2) in zip(spans, spans[1:]):
         if s2 < e1:
@@ -222,6 +230,31 @@ def _require(condition: bool, message: str) -> None:
         raise FormatError(message)
 
 
+def _is_count(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _count(value, what: str) -> int:
+    _require(_is_count(value), f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _real(value, what: str) -> float:
+    """A finite JSON number (not a boolean) as a float."""
+    try:
+        number = float(value) if isinstance(value, numbers.Real) and not isinstance(value, bool) else math.nan
+    except OverflowError:  # an integer past the float range
+        number = math.inf
+    _require(math.isfinite(number), f"{what} must be a finite number, got {value!r}")
+    return number
+
+
+def _reals(values, what: str, length: int) -> list:
+    _require(isinstance(values, (list, tuple)) and len(values) == length,
+             f"{what} must be a list of {length} numbers, got {values!r}")
+    return [_real(v, what) for v in values]
+
+
 def save_scene(scene_dict: dict, path) -> None:
     try:
         with open(path, "w", newline="\n") as fh:
@@ -255,7 +288,7 @@ def scene_from_dict(doc: dict, base_dir: Path | None = None) -> Scene:
     _require(isinstance(mat_doc, dict) and set(mat_doc) == _MATERIAL_KEYS,
              "material must define exactly the five parameters")
     try:
-        material = MaterialParams(**{k: float(v) for k, v in mat_doc.items()})
+        material = MaterialParams(**{k: _real(v, f"material {k}") for k, v in mat_doc.items()})
     except InvalidArgument as exc:
         raise FormatError(f"bad material: {exc}") from exc
 
@@ -267,11 +300,12 @@ def scene_from_dict(doc: dict, base_dir: Path | None = None) -> Scene:
     if kind == "grid":
         _require("n" in g_doc and "side" in g_doc, "grid garment needs n and side")
         try:
-            garment = make_grid_cloth(int(g_doc["n"]), float(g_doc["side"]), material)
-        except InvalidArgument as exc:
+            n, side = _count(g_doc["n"], "garment n"), _real(g_doc["side"], "garment side")
+            garment = make_grid_cloth(n, side, material)
+        except (InvalidArgument, InvalidMesh) as exc:
             raise FormatError(f"bad garment grid: {exc}") from exc
     elif kind == "obj":
-        _require("path" in g_doc, "obj garment needs a path")
+        _require(isinstance(g_doc.get("path"), str), "obj garment needs a path")
         obj_path = Path(g_doc["path"])
         if base_dir is not None and not obj_path.is_absolute():
             obj_path = base_dir / obj_path
@@ -284,28 +318,32 @@ def scene_from_dict(doc: dict, base_dir: Path | None = None) -> Scene:
     unknown = set(b_doc) - _BODY_KEYS
     _require(not unknown, f"unknown body fields: {sorted(unknown)}")
     _require({"type", "radius", "keyframes"} <= set(b_doc), "body needs type, radius, keyframes")
+    keyframes = b_doc["keyframes"]
+    _require(isinstance(keyframes, (list, tuple)), f"body keyframes must be a list, got {keyframes!r}")
+    pinned = g_doc.get("pinned", ())
+    _require(isinstance(pinned, (list, tuple)), f"garment pinned must be a list, got {pinned!r}")
     try:
         body = BodySpec(
             kind=b_doc["type"],
-            radius=float(b_doc["radius"]),
-            keyframes=np.asarray(b_doc["keyframes"], dtype=np.float64),
-            lat=int(b_doc.get("lat", DEFAULT_BODY_LAT)),
-            lon=int(b_doc.get("lon", DEFAULT_BODY_LON)),
+            radius=_real(b_doc["radius"], "body radius"),
+            keyframes=np.array([_reals(row, "body keyframe", 4) for row in keyframes], dtype=np.float64),
+            lat=_count(b_doc.get("lat", DEFAULT_BODY_LAT), "body lat"),
+            lon=_count(b_doc.get("lon", DEFAULT_BODY_LON), "body lon"),
         )
         scene = build_scene(
             garment,
             plane=g_doc.get("plane", "xz"),
-            origin=g_doc.get("origin", (0.0, 0.0, 0.0)),
-            pinned=g_doc.get("pinned", ()),
+            origin=_reals(g_doc.get("origin", (0.0, 0.0, 0.0)), "garment origin", 3),
+            pinned=[_count(i, "garment pinned index") for i in pinned],
             body=body,
             material=material,
-            dt=float(doc["dt"]),
-            gravity=float(doc["gravity"]),
-            world_radius=float(doc["world_edge_radius"]),
-            frames=int(doc["frames"]),
-            contact_margin=float(doc.get("contact_margin", DEFAULT_CONTACT_MARGIN)),
+            dt=_real(doc["dt"], "dt"),
+            gravity=_real(doc["gravity"], "gravity"),
+            world_radius=_real(doc["world_edge_radius"], "world_edge_radius"),
+            frames=_count(doc["frames"], "frames"),
+            contact_margin=_real(doc.get("contact_margin", DEFAULT_CONTACT_MARGIN), "contact_margin"),
         )
-    except InvalidArgument as exc:
+    except (InvalidArgument, InvalidMesh) as exc:
         raise FormatError(f"bad scene: {exc}") from exc
 
     gaps = np.linalg.norm(scene.initial_positions - body.center_at(0.0), axis=1)

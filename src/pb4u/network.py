@@ -145,12 +145,10 @@ def init_params(
 
 @dataclass
 class LatentGraph:
-    """Encoded graph: V, E latents plus the running aggregate H (initialized
-    to V) and the topology needed to route messages."""
+    """Encoded graph: V, E latents plus the topology needed to route messages."""
 
     V: Tensor
     E: Tensor
-    H: Tensor
     senders: np.ndarray
     receivers: np.ndarray
     garment_count: int
@@ -171,7 +169,6 @@ def encode(graph: SimGraph, params: ModelParams) -> LatentGraph:
     return LatentGraph(
         V=v,
         E=e,
-        H=v,  # the aggregate starts as the vertex embedding itself
         senders=graph.senders,
         receivers=graph.receivers,
         garment_count=graph.garment_count,
@@ -181,19 +178,19 @@ def encode(graph: SimGraph, params: ModelParams) -> LatentGraph:
 def propagate(latent: LatentGraph, k_steps: int, gamma: float, params: ModelParams) -> Tensor:
     """K rounds of message accumulation with no feature update in between.
 
-    Receivers are garment vertices only; body rows of H pass through
-    untouched, so K = 0 returns H itself.
+    H starts as V. Receivers are garment vertices only; body rows pass
+    through untouched, so K = 0 returns V itself.
     """
     if k_steps < 0:
         raise InvalidArgument(f"k_steps must be >= 0, got {k_steps}")
     if k_steps == 0:
-        return latent.H
+        return latent.V
     n_g = latent.garment_count
-    n_total = latent.H.data.shape[0]
+    n_total = latent.V.data.shape[0]
     if latent.receivers.size and latent.receivers.max() >= n_g:
         raise InvalidArgument("message receivers must be garment vertices")
-    h_garment = dc.gather(latent.H, np.arange(n_g))
-    h_body = dc.gather(latent.H, np.arange(n_g, n_total))
+    h_garment = dc.gather(latent.V, np.arange(n_g))
+    h_body = dc.gather(latent.V, np.arange(n_g, n_total))
     for _ in range(k_steps):
         h_full = dc.concat([h_garment, h_body], axis=0)
         h_dst = dc.gather(h_full, latent.receivers)
@@ -270,12 +267,12 @@ def step(
     world_radius: float,
     body_next_pos: np.ndarray,
     dtype=np.float32,
-) -> tuple[SimState, Tensor]:
+) -> tuple[SimState, Tensor, np.ndarray]:
     """One simulator step: build graph, predict accelerations, integrate
     forward Euler, advance the body kinematically, shift history.
 
-    Returns the next state (float64 master copy) and the predicted positions
-    as a Tensor so a training loss can backpropagate through them.
+    Returns the next state (float64 master copy), the predicted positions
+    (a Tensor, for a training loss to backpropagate) and ``graph.world_pairs``.
     """
     graph = build_graph(state, garment_mesh, body_mesh, world_radius, dtype=dtype)
     accel = forward_accelerations(graph, scale, params, config, k_steps)
@@ -292,4 +289,4 @@ def step(
         body_pos_prev=state.body_pos.copy(),
         time_step=dt,
     )
-    return next_state, pos_next
+    return next_state, pos_next, graph.world_pairs

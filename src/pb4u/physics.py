@@ -198,14 +198,11 @@ def bending_energy(positions: Tensor, rest: RestGeometry, material) -> Tensor:
 def nearest_contacts(
     garment_pos: np.ndarray,
     body_pos: np.ndarray,
-    radius: float,
+    pairs: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(garment index, nearest body index) for every garment vertex with a
-    body vertex strictly inside the radius; ties break to the lower body
-    index for determinism."""
-    pairs = build_world_edges(garment_pos, body_pos, radius)
-    if pairs.shape[0] == 0:
-        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
+    """(garment index, nearest body index) for every garment vertex in the
+    (garment, body) ``pairs`` of a world-edge search over these positions;
+    ties break to the lower body index for determinism."""
     delta = garment_pos[pairs[:, 0]] - body_pos[pairs[:, 1]]
     dist_sq = (delta * delta).sum(axis=1)
     order = np.lexsort((pairs[:, 1], dist_sq, pairs[:, 0]))
@@ -224,7 +221,8 @@ def collision_penalty(
 ) -> Tensor:
     """Cubic penetration penalty: for each garment vertex with a nearby body
     vertex, d = n_b . (x_g - x_b); contributes max(0, margin - d)^3."""
-    g_idx, b_idx = nearest_contacts(np.asarray(garment_pos.data, dtype=np.float64), body_pos, radius)
+    positions = np.asarray(garment_pos.data, dtype=np.float64)
+    g_idx, b_idx = nearest_contacts(positions, body_pos, build_world_edges(positions, body_pos, radius))
     dtype = garment_pos.dtype
     if g_idx.shape[0] == 0:
         return Tensor(np.asarray(0.0, dtype))
@@ -250,23 +248,21 @@ def gravity_energy(garment_pos: Tensor, masses: np.ndarray, gravity: float) -> T
 def friction_penalty(
     pred_pos: Tensor,
     state: SimState,
+    pairs: np.ndarray,
     body_normals_t: np.ndarray,
     masses: np.ndarray,
     friction_coeff: float,
-    radius: float,
     margin: float = DEFAULT_CONTACT_MARGIN,
 ) -> Tensor:
     """Quadratic tangential-slip penalty at contacts established in the
-    pre-step state: friction * m * |tangential displacement|^2 / dt^2."""
+    pre-step state, whose world-edge search found ``pairs``:
+    friction * m * |tangential displacement|^2 / dt^2."""
     dtype = pred_pos.dtype
-    g_idx, b_idx = nearest_contacts(state.garment_pos, state.body_pos, radius)
-    if g_idx.shape[0]:
-        normals = body_normals_t[b_idx]
-        depth = ((state.garment_pos[g_idx] - state.body_pos[b_idx]) * normals).sum(axis=1)
-        touching = depth < margin
-        g_idx, b_idx, normals = g_idx[touching], b_idx[touching], normals[touching]
-    else:
-        normals = np.zeros((0, 3))
+    g_idx, b_idx = nearest_contacts(state.garment_pos, state.body_pos, pairs)
+    normals = body_normals_t[b_idx]
+    depth = ((state.garment_pos[g_idx] - state.body_pos[b_idx]) * normals).sum(axis=1)
+    touching = depth < margin
+    g_idx, normals = g_idx[touching], normals[touching]
     if g_idx.shape[0] == 0:
         return Tensor(np.asarray(0.0, dtype))
     disp = dc.sub(dc.gather(pred_pos, g_idx), Tensor(state.garment_pos[g_idx].astype(dtype)))
@@ -289,6 +285,7 @@ def inertia_term(pred_pos: Tensor, state: SimState, masses: np.ndarray) -> Tenso
 def total_loss(
     pred_pos: Tensor,
     state: SimState,
+    pairs: np.ndarray,
     body_next_pos: np.ndarray,
     body_next_normals: np.ndarray,
     body_normals_t: np.ndarray,
@@ -300,8 +297,9 @@ def total_loss(
     margin: float = DEFAULT_CONTACT_MARGIN,
 ) -> tuple[Tensor, LossBreakdown]:
     """Weighted, per-vertex-normalized sum of the six energies evaluated on a
-    predicted frame. Returns the scalar Tensor (for backward) plus a float
-    snapshot of the individual reported terms."""
+    predicted frame, given the world-edge ``pairs`` of the pre-step ``state``.
+    Returns the scalar Tensor (for backward) plus a float snapshot of the
+    individual reported terms."""
     n_g = pred_pos.data.shape[0]
     material = mesh.material
     terms = {
@@ -310,7 +308,7 @@ def total_loss(
         "collision": collision_penalty(pred_pos, body_next_pos, body_next_normals, contact_radius, margin),
         "gravity": gravity_energy(pred_pos, rest.vertex_masses, gravity),
         "friction": friction_penalty(
-            pred_pos, state, body_normals_t, rest.vertex_masses, material.friction_coeff, contact_radius, margin
+            pred_pos, state, pairs, body_normals_t, rest.vertex_masses, material.friction_coeff, margin
         ),
         "inertia": inertia_term(pred_pos, state, rest.vertex_masses),
     }

@@ -93,11 +93,11 @@ def advance(
     state: SimState,
     frame: int,
     params: net.ModelParams,
-) -> tuple[SimState, Tensor]:
+) -> tuple[SimState, Tensor, np.ndarray]:
     """One model step from the state at ``frame`` to ``frame + 1``, with
-    pinned vertices held at their scripted positions."""
+    pinned vertices held at their scripted positions; returns as ``net.step``."""
     body_next = ctx.scene.body_positions(frame + 1)
-    next_state, pred = net.step(
+    next_state, pred, pairs = net.step(
         state,
         ctx.scene.garment,
         ctx.scene.body_mesh,
@@ -112,17 +112,18 @@ def advance(
     pred = _apply_pins_tensor(ctx, pred)
     next_state.garment_pos = pred.data.astype(np.float64)
     _apply_pins_state(ctx, next_state)
-    return next_state, pred
+    return next_state, pred, pairs
 
 
-def frame_loss(ctx: SimContext, pred: Tensor, pre_state: SimState, next_state: SimState):
-    """Composite loss of a predicted frame against its pre-step state."""
+def frame_loss(ctx: SimContext, pred: Tensor, pre_state: SimState, pairs: np.ndarray, next_state: SimState):
+    """Composite loss of a predicted frame against its pre-step state and its world-edge ``pairs``."""
     body_mesh = ctx.scene.body_mesh
     normals_next = vertex_normals(next_state.body_pos, body_mesh)
     normals_t = vertex_normals(pre_state.body_pos, body_mesh)
     return physics.total_loss(
         pred,
         pre_state,
+        pairs,
         next_state.body_pos,
         normals_next,
         normals_t,
@@ -162,7 +163,7 @@ def run_rollout(
     for f in range(frames):
         began = time.perf_counter()
         try:
-            next_state, _ = advance(ctx, state, start_frame + f, params)
+            next_state, _, pairs = advance(ctx, state, start_frame + f, params)
         except NumericDivergence:
             result.diverged = True
             result.diverged_at = f
@@ -171,7 +172,7 @@ def run_rollout(
         if compute_losses:
             try:
                 pred64 = Tensor(next_state.garment_pos.copy())
-                _, breakdown = frame_loss(ctx, pred64, state, next_state)
+                _, breakdown = frame_loss(ctx, pred64, state, pairs, next_state)
                 result.losses.append(breakdown)
             except NumericDivergence:
                 result.diverged = True

@@ -260,8 +260,8 @@ def train(config: TrainConfig, scenes: list, diagnostics_dir=None) -> TrainResul
                 loss_tensor = None
                 breakdown = None
                 for k in range(config.rollout_steps):
-                    next_state, pred = advance(ctx, state, frame + k, params)
-                    step_loss, breakdown = frame_loss(ctx, pred, state, next_state)
+                    next_state, pred, pairs = advance(ctx, state, frame + k, params)
+                    step_loss, breakdown = frame_loss(ctx, pred, state, pairs, next_state)
                     loss_tensor = step_loss if loss_tensor is None else dc.add(loss_tensor, step_loss)
                     state = next_state  # gradients do not flow across steps
         except NumericDivergence as exc:

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import physics
 from .diffcore import Tensor, grad_check
-from .graph import SimState
+from .graph import SimState, build_world_edges
 from .mesh import MaterialParams, TriMesh, make_grid_cloth, vertex_normals
 
 PROBE_MATERIAL = MaterialParams(
@@ -74,6 +74,7 @@ def energy_gradchecks(seed: int, h: float = 1e-6) -> dict[str, float]:
     respect to the predicted positions."""
     scene = make_probe_scene(seed)
     mesh, rest, state = scene.mesh, scene.rest, scene.state
+    pairs = build_world_edges(state.garment_pos, state.body_pos, scene.radius)
 
     functions = {
         "stretch": lambda p: physics.stretch_energy(p, rest, mesh.material, mesh.triangles),
@@ -83,8 +84,7 @@ def energy_gradchecks(seed: int, h: float = 1e-6) -> dict[str, float]:
         ),
         "gravity": lambda p: physics.gravity_energy(p, rest.vertex_masses, scene.gravity),
         "friction": lambda p: physics.friction_penalty(
-            p, state, scene.body_normals, rest.vertex_masses,
-            mesh.material.friction_coeff, scene.radius, scene.margin,
+            p, state, pairs, scene.body_normals, rest.vertex_masses, mesh.material.friction_coeff, scene.margin
         ),
         "inertia": lambda p: physics.inertia_term(p, state, rest.vertex_masses),
     }

@@ -209,10 +209,10 @@ def test_criterion_05_translation_invariance(workspace):
         time_step=state.time_step,
     )
     body_next = scene.body_positions(1)
-    base, _ = net.step(state, scene.garment, scene.body_mesh, scale, params, config, 8,
-                       scene.world_radius, body_next, dtype=np.float64)
-    trans, _ = net.step(moved, scene.garment, scene.body_mesh, scale, params, config, 8,
-                        scene.world_radius, body_next + shift, dtype=np.float64)
+    base, _, _ = net.step(state, scene.garment, scene.body_mesh, scale, params, config, 8,
+                          scene.world_radius, body_next, dtype=np.float64)
+    trans, _, _ = net.step(moved, scene.garment, scene.body_mesh, scale, params, config, 8,
+                           scene.world_radius, body_next + shift, dtype=np.float64)
     accel_base = (base.garment_vel - state.garment_vel) / state.time_step
     accel_trans = (trans.garment_vel - moved.garment_vel) / state.time_step
     assert np.max(np.abs(accel_trans - accel_base)) <= 1e-6
@@ -255,7 +255,8 @@ def test_criterion_07_physics_zero_and_reference_cases():
     )
     normals = vertex_normals(body_pos, body)
     _, breakdown = physics.total_loss(
-        Tensor(state.garment_pos.copy()), state, body_pos, normals, normals,
+        Tensor(state.garment_pos.copy()), state, build_world_edges(state.garment_pos, body_pos, 0.05),
+        body_pos, normals, normals,
         mesh, rest, physics.LossWeights(), gravity=9.81, contact_radius=0.05,
     )
     for name, value in breakdown.as_dict().items():
@@ -302,8 +303,8 @@ def _probe_mean_total(scene_path, params, config: TrainConfig) -> float:
     refresh_buffer(scene, ctx, params, use_model=False)
     totals = []
     for entry in scene.buffer[:: max(1, len(scene.buffer) // 16)]:
-        next_state, _ = advance(ctx, entry.state, entry.frame, params)
-        _, breakdown = frame_loss(ctx, Tensor(next_state.garment_pos.copy()), entry.state, next_state)
+        next_state, _, pairs = advance(ctx, entry.state, entry.frame, params)
+        _, breakdown = frame_loss(ctx, Tensor(next_state.garment_pos.copy()), entry.state, pairs, next_state)
         totals.append(breakdown.total)
     return float(np.mean(totals))
 

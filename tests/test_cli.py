@@ -10,6 +10,7 @@ from pb4u import io as pio
 from pb4u.cli import main
 from pb4u.control import calibrate, propagation_steps
 from pb4u.mesh import load_obj_mesh, make_grid_cloth, mean_edge_length, write_obj, DEFAULT_MATERIAL
+from pb4u.scenes import drape_sphere_preset
 
 
 @pytest.fixture(scope="module")
@@ -63,6 +64,27 @@ def test_train_bad_config_value_is_format_error(tmp_path, capsys, field, value):
     assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "m.ckpt")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "bad training config" in err and err.count("\n") == 1
+    assert not (tmp_path / "m.ckpt").exists()
+
+
+@pytest.mark.parametrize("path, value", [
+    (("dt",), "a"), (("gravity",), None), (("world_edge_radius",), "x"), (("frames",), 2.5),
+    (("garment", "n"), "x"), (("garment", "origin"), "ab"), (("garment", "pinned"), [1.5]),
+    (("body", "keyframes"), "abc"), (("body", "lat"), 12.7), (("material", "lame_mu"), "x"),
+], ids=lambda v: ".".join(v) if isinstance(v, tuple) else json.dumps(v))
+def test_train_bad_scene_value_is_format_error(tmp_path, capsys, path, value):
+    doc = drape_sphere_preset(4, frames=4)
+    *sections, key = path
+    target = doc
+    for section in sections:
+        target = target[section]
+    target[key] = value
+    (tmp_path / "scene.json").write_text(json.dumps(doc))
+    cfg = tmp_path / "train.json"
+    cfg.write_text(json.dumps({"scenes": ["scene.json"], "iterations": 1}))
+    assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "m.ckpt")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
     assert not (tmp_path / "m.ckpt").exists()
 
 
@@ -280,6 +302,24 @@ def test_corrupt_checkpoint_exit_code(workdir, tmp_path):
     rc = main(["rollout", "--ckpt", str(bad), "--scene", str(workdir / "scene.json"),
                "--frames", "1", "--out-dir", str(tmp_path / "f"), "--metrics", str(tmp_path / "m.csv")])
     assert rc == 2
+
+
+@pytest.mark.parametrize("field, value", [("shape", ["a"]), ("shape", 5), ("shape", [2, -2]), ("byte_offset", "x")],
+                         ids=lambda v: v if v in ("shape", "byte_offset") else json.dumps(v))
+def test_eval_bad_checkpoint_header_entry_is_format_error(workdir, tmp_path, capsys, field, value):
+    blob = (workdir / "model.ckpt").read_bytes()
+    header_len = struct.unpack_from("<Q", blob, 12)[0]
+    header = json.loads(blob[20:20 + header_len])
+    header["decoder.b0"][field] = value
+    header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    bad = tmp_path / "bad.ckpt"
+    # the payload and its CRC are untouched, so only the header entry is wrong
+    bad.write_bytes(blob[:12] + struct.pack("<Q", len(header_bytes)) + header_bytes + blob[20 + header_len:])
+    rc = main(["eval", "--ckpt", str(bad), "--scene", str(workdir / "scene.json"),
+               "--frames", "1", "--report", str(tmp_path / "report.json")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "decoder.b0" in err and err.count("\n") == 1
 
 
 def test_divergent_checkpoint_exit_code_and_partial_outputs(workdir, tmp_path):

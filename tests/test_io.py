@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from pb4u import io as pio
 from pb4u import network as net
 from pb4u.errors import ConfigMismatch, FormatError, IoError
-from pb4u.scenes import drape_sphere_preset, hang_pinned_preset
+from pb4u.scenes import Scene, drape_sphere_preset, hang_pinned_preset
 
 CFG = net.NetworkConfig(latent_dim=16, processor_depth=2)
 
@@ -248,3 +248,106 @@ def test_train_config_loader_returns_valid_config_or_format_error(tmp_path, doc)
     assert 0 <= cfg.beta1 < 1 and 0 <= cfg.beta2 < 1 and 0 <= cfg.gamma <= 1
     for name in _LOSS_NAMES:
         assert _finite(getattr(cfg.weights, name)) and getattr(cfg.weights, name) >= 0, name
+
+
+def _paths(node, prefix=()):
+    """Every location inside a JSON document, as a tuple of keys and indices."""
+    children = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in children:
+        yield prefix + (key,)
+        yield from _paths(child, prefix + (key,))
+
+
+_DELETE = object()
+
+
+def _mutated(doc, edits):
+    """A deep copy of ``doc`` with each (path, value) edit applied where the
+    path still exists; ``_DELETE`` removes the location instead."""
+    doc = json.loads(json.dumps(doc))
+    for path, value in edits:
+        parent = doc
+        try:
+            for key in path[:-1]:
+                parent = parent[key]
+            parent[path[-1]]
+        except (KeyError, IndexError, TypeError):
+            continue
+        if value is _DELETE:
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = value
+    return doc
+
+
+_SCENE_BASES = (drape_sphere_preset(4, frames=4), hang_pinned_preset(4, frames=4))
+_SCENE_PATHS = sorted({path for doc in _SCENE_BASES for path in _paths(doc)}, key=repr)
+# counts stay small: a large grid or sphere count is a valid scene that only
+# costs memory, not a format fault
+_SCENE_SCALAR = (st.none() | st.booleans() | st.integers(-3, 40) | st.floats(-2.0, 2.0)
+                 | st.floats(allow_nan=True, allow_infinity=True) | st.text(max_size=3))
+_SCENE_VALUE = st.recursive(
+    _SCENE_SCALAR,
+    lambda kids: st.lists(kids, max_size=5) | st.dictionaries(st.text(max_size=3), kids, max_size=2),
+    max_leaves=6,
+) | st.just(_DELETE)
+
+
+@settings(max_examples=200, deadline=None)
+@given(base=st.sampled_from(_SCENE_BASES),
+       edits=st.lists(st.tuples(st.sampled_from(_SCENE_PATHS), _SCENE_VALUE), min_size=1, max_size=3))
+def test_scene_loader_returns_scene_or_format_error(base, edits):
+    doc = json.loads(json.dumps(_mutated(base, edits)))   # as load_scene would read it
+    try:
+        scene = pio.scene_from_dict(doc)
+    except FormatError:
+        return
+    assert isinstance(scene, Scene)
+    assert type(scene.frames) is int and scene.frames >= 1
+    for value in (scene.dt, scene.gravity, scene.world_radius, scene.contact_margin, scene.body.radius):
+        assert _finite(value)
+    assert np.all(np.isfinite(scene.body.keyframes)) and scene.pinned.dtype == np.int64
+
+
+_CKPT_SCALAR = (st.none() | st.booleans() | st.integers(-2, 2**70) | st.floats(allow_nan=True, allow_infinity=True)
+                | st.text(max_size=3))
+_CKPT_VALUE = (
+    _CKPT_SCALAR
+    | st.lists(st.integers(-2, 2**40) | _CKPT_SCALAR, max_size=4)
+    | st.lists(st.just(1), min_size=60, max_size=70)   # around numpy's limit on dimensions
+    | st.lists(st.sampled_from([0, 2**63, 2**70]), min_size=1, max_size=3)   # zero elements, huge extents
+    | st.dictionaries(st.text(max_size=3), _CKPT_SCALAR, max_size=2)
+    | st.just(_DELETE)
+)
+
+
+@pytest.fixture(scope="module")
+def checkpoint_parts(tmp_path_factory):
+    """Header dict, payload and CRC of a valid checkpoint."""
+    path = tmp_path_factory.mktemp("fuzz") / "model.ckpt"
+    pio.save_checkpoint(small_params(), path, meta={"gamma": 0.9, "k_base": 8, "l_base": 0.05})
+    blob = path.read_bytes()
+    header_len = struct.unpack_from("<Q", blob, 12)[0]
+    return json.loads(blob[20:20 + header_len]), blob[20 + header_len:]
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_checkpoint_loader_returns_or_raises_format_or_io_error(tmp_path, checkpoint_parts, data):
+    header, tail = checkpoint_parts
+    names = sorted(header)
+    edits = data.draw(st.lists(
+        st.tuples(st.sampled_from(names), st.sampled_from(["dtype", "shape", "byte_offset", None]), _CKPT_VALUE),
+        min_size=1, max_size=3,
+    ))
+    header = _mutated(header, [((name,) if field is None else (name, field), value) for name, field, value in edits])
+    header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    path = tmp_path / "fuzzed.ckpt"
+    # payload and CRC unchanged: only the header is wrong
+    path.write_bytes(pio.MAGIC + struct.pack("<I", pio.VERSION) + struct.pack("<Q", len(header_bytes))
+                     + header_bytes + tail)
+    try:
+        params, meta = pio.load_checkpoint(path)
+    except (FormatError, IoError):
+        return
+    assert isinstance(params, net.ModelParams) and isinstance(meta, dict)

@@ -40,7 +40,7 @@ def test_encode_shapes_and_h_initialization():
     latent = net.encode(graph, params)
     assert latent.V.shape == (6, CFG.latent_dim)
     assert latent.E.shape == (10, CFG.latent_dim)
-    assert latent.H is latent.V
+    assert net.propagate(latent, 0, CFG.gamma, params) is latent.V  # the aggregate starts as V
 
 
 def test_encode_zero_params_gives_zero_latents():
@@ -67,7 +67,7 @@ def test_propagate_zero_steps_is_identity():
     graph = path_graph()
     params = make_params()
     latent = net.encode(graph, params)
-    assert net.propagate(latent, 0, 0.9, params) is latent.H
+    assert net.propagate(latent, 0, 0.9, params) is latent.V
 
 
 def test_propagate_single_step_matches_manual_unroll():
@@ -77,7 +77,7 @@ def test_propagate_single_step_matches_manual_unroll():
     got = net.propagate(latent, 1, 0.8, params).data
 
     # manual unroll with plain numpy
-    h = latent.H.data
+    h = latent.V.data
     e = latent.E.data
     senders, receivers = graph.senders, graph.receivers
 
@@ -126,7 +126,7 @@ def test_shared_weights_compose_across_splits():
 
     h_a = net.propagate(latent, 2, 0.9, params)
     resumed = net.LatentGraph(
-        V=latent.V, E=latent.E, H=h_a,
+        V=h_a, E=latent.E,
         senders=latent.senders, receivers=latent.receivers,
         garment_count=latent.garment_count,
     )
@@ -223,7 +223,7 @@ def test_process_depth_two_composes_depth_one():
     mid = net.process(latent, v, one_block)
     # the second block refines edges starting from the first block's edges
     latent_mid = net.LatentGraph(
-        V=latent.V, E=_edges_after_block(latent, v, params.blocks[0]), H=latent.H,
+        V=latent.V, E=_edges_after_block(latent, v, params.blocks[0]),
         senders=latent.senders, receivers=latent.receivers, garment_count=latent.garment_count,
     )
     manual = net.process(latent_mid, mid, two_block).data
@@ -283,11 +283,11 @@ def test_step_statics_and_drift_with_zero_decoder():
     for b in params.decoder.biases:
         b.data[:] = 0.0
     scale = rest_scale_factors(grid)
-    nxt, _ = net.step(state, grid, body, scale, params, CFG, 2, 0.3, state.body_pos, dtype=np.float64)
+    nxt, _, _ = net.step(state, grid, body, scale, params, CFG, 2, 0.3, state.body_pos, dtype=np.float64)
     assert np.array_equal(nxt.garment_pos, state.garment_pos)
 
     state.garment_vel[:] = [0.1, 0.0, -0.2]
-    nxt, _ = net.step(state, grid, body, scale, params, CFG, 2, 0.3, state.body_pos, dtype=np.float64)
+    nxt, _, _ = net.step(state, grid, body, scale, params, CFG, 2, 0.3, state.body_pos, dtype=np.float64)
     assert np.allclose(nxt.garment_pos, state.garment_pos + 0.02 * np.array([0.1, 0.0, -0.2]), atol=1e-15)
 
 
@@ -296,8 +296,8 @@ def test_step_deterministic_replay():
     body, state = drape_state(grid)
     params = net.init_params(CFG, seed=10, dtype=np.float64)
     scale = rest_scale_factors(grid)
-    a, _ = net.step(state, grid, body, scale, params, CFG, 3, 0.3, state.body_pos, dtype=np.float64)
-    b, _ = net.step(state, grid, body, scale, params, CFG, 3, 0.3, state.body_pos, dtype=np.float64)
+    a, _, _ = net.step(state, grid, body, scale, params, CFG, 3, 0.3, state.body_pos, dtype=np.float64)
+    b, _, _ = net.step(state, grid, body, scale, params, CFG, 3, 0.3, state.body_pos, dtype=np.float64)
     assert np.array_equal(a.garment_pos, b.garment_pos)
     assert np.array_equal(a.garment_vel, b.garment_vel)
 
@@ -316,8 +316,8 @@ def test_step_translation_equivariance():
         body_pos_prev=state.body_pos_prev + shift,
         time_step=state.time_step,
     )
-    base, _ = net.step(state, grid, body, scale, params, CFG, 3, 0.3, state.body_pos, dtype=np.float64)
-    trans, _ = net.step(moved, grid, body, scale, params, CFG, 3, 0.3, moved.body_pos, dtype=np.float64)
+    base, _, _ = net.step(state, grid, body, scale, params, CFG, 3, 0.3, state.body_pos, dtype=np.float64)
+    trans, _, _ = net.step(moved, grid, body, scale, params, CFG, 3, 0.3, moved.body_pos, dtype=np.float64)
     accel_base = (base.garment_vel - state.garment_vel) / state.time_step
     accel_trans = (trans.garment_vel - moved.garment_vel) / state.time_step
     assert np.max(np.abs(accel_trans - accel_base)) <= 1e-6
@@ -328,8 +328,8 @@ def test_full_step_permutation_equivariance():
     grid = make_grid_cloth(3, 1.0, MAT)
     body, state = drape_state(grid)
     params = net.init_params(CFG, seed=14, dtype=np.float64)
-    base, _ = net.step(state, grid, body, rest_scale_factors(grid), params, CFG, 2, 0.3,
-                       state.body_pos, dtype=np.float64)
+    base, _, _ = net.step(state, grid, body, rest_scale_factors(grid), params, CFG, 2, 0.3,
+                          state.body_pos, dtype=np.float64)
 
     perm = np.random.default_rng(6).permutation(grid.vertex_count)
     inverse = np.argsort(perm)
@@ -345,8 +345,8 @@ def test_full_step_permutation_equivariance():
         body_pos_prev=state.body_pos_prev,
         time_step=state.time_step,
     )
-    permuted, _ = net.step(state_p, relabeled, body, rest_scale_factors(relabeled), params, CFG, 2, 0.3,
-                           state_p.body_pos, dtype=np.float64)
+    permuted, _, _ = net.step(state_p, relabeled, body, rest_scale_factors(relabeled), params, CFG, 2, 0.3,
+                              state_p.body_pos, dtype=np.float64)
     # edge orderings change under relabeling, so sums agree to rounding only
     assert np.allclose(permuted.garment_pos, base.garment_pos[perm], atol=1e-9)
     assert np.allclose(permuted.garment_vel, base.garment_vel[perm], atol=1e-9)

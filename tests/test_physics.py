@@ -8,7 +8,7 @@ from pb4u import diffcore as dc
 from pb4u import physics
 from pb4u import validate
 from pb4u.diffcore import Tensor
-from pb4u.graph import SimState
+from pb4u.graph import SimState, build_world_edges
 from pb4u.mesh import MaterialParams, TriMesh, make_grid_cloth, vertex_normals
 
 MAT = MaterialParams(lame_mu=1.0, lame_lambda=1.0, bending_coeff=1.0, mass_density=1.0, friction_coeff=1.0)
@@ -168,6 +168,11 @@ def contact_state(dt=0.02):
     )
 
 
+def _pairs(state, radius):
+    """The world-edge pairs of a pre-step state, as its graph build finds them."""
+    return build_world_edges(state.garment_pos, state.body_pos, radius)
+
+
 def test_friction_zero_without_contacts():
     state = contact_state()
     far = SimState(
@@ -179,14 +184,14 @@ def test_friction_zero_without_contacts():
         time_step=state.time_step,
     )
     pred = Tensor(far.garment_pos + 0.01)
-    e = physics.friction_penalty(pred, far, np.array([[0.0, 1.0, 0.0]]), np.ones(1), 0.7, 0.1)
+    e = physics.friction_penalty(pred, far, _pairs(far, 0.1), np.array([[0.0, 1.0, 0.0]]), np.ones(1), 0.7)
     assert e.item() == 0.0
 
 
 def test_friction_normal_motion_free():
     state = contact_state()
     pred = Tensor(state.garment_pos + np.array([[0.0, 0.003, 0.0]]))
-    e = physics.friction_penalty(pred, state, np.array([[0.0, 1.0, 0.0]]), np.ones(1), 0.7, 0.1)
+    e = physics.friction_penalty(pred, state, _pairs(state, 0.1), np.array([[0.0, 1.0, 0.0]]), np.ones(1), 0.7)
     assert e.item() == pytest.approx(0.0, abs=1e-18)
 
 
@@ -196,7 +201,7 @@ def test_friction_tangential_slide_closed_form():
     state = contact_state(dt)
     pred = Tensor(state.garment_pos + np.array([[v * dt, 0.0, 0.0]]))
     mass = np.array([0.25])
-    e = physics.friction_penalty(pred, state, np.array([[0.0, 1.0, 0.0]]), mass, 0.7, 0.1)
+    e = physics.friction_penalty(pred, state, _pairs(state, 0.1), np.array([[0.0, 1.0, 0.0]]), mass, 0.7)
     # tangential displacement v*dt against normal +y: mu * m * v^2
     assert e.item() == pytest.approx(0.7 * 0.25 * v * v, rel=1e-12)
 
@@ -250,7 +255,8 @@ def test_translation_invariance_of_non_gravity_terms():
         lambda p, st: physics.bending_energy(p, rest, mesh.material),
         lambda p, st: physics.collision_penalty(p, st.body_pos, scene.body_normals, scene.radius, scene.margin),
         lambda p, st: physics.friction_penalty(
-            p, st, scene.body_normals, rest.vertex_masses, mesh.material.friction_coeff, scene.radius, scene.margin
+            p, st, _pairs(st, scene.radius), scene.body_normals, rest.vertex_masses, mesh.material.friction_coeff,
+            scene.margin,
         ),
         lambda p, st: physics.inertia_term(p, st, rest.vertex_masses),
     ):
@@ -306,7 +312,7 @@ def rest_scene_at_origin():
 def test_total_loss_all_zero_at_rest():
     mesh, rest, state, body_pos, normals = rest_scene_at_origin()
     total, breakdown = physics.total_loss(
-        Tensor(state.garment_pos.copy()), state, body_pos, normals, normals,
+        Tensor(state.garment_pos.copy()), state, _pairs(state, 0.05), body_pos, normals, normals,
         mesh, rest, physics.LossWeights(), gravity=9.81, contact_radius=0.05,
     )
     assert total.item() == 0.0
@@ -317,7 +323,7 @@ def test_total_loss_all_zero_at_rest():
 def test_total_equals_sum_of_reported_terms_exactly():
     scene = validate.make_probe_scene(21)
     total, breakdown = physics.total_loss(
-        Tensor(scene.pred.copy()), scene.state, scene.state.body_pos,
+        Tensor(scene.pred.copy()), scene.state, _pairs(scene.state, scene.radius), scene.state.body_pos,
         scene.body_normals, scene.body_normals, scene.mesh, scene.rest,
         physics.LossWeights(), gravity=scene.gravity, contact_radius=scene.radius,
         margin=scene.margin,
@@ -333,12 +339,12 @@ def test_total_loss_weighted_sum():
     scene = validate.make_probe_scene(22)
     weights = physics.LossWeights(stretch=2.0, bending=0.5, collision=3.0, gravity=1.5, friction=0.25, inertia=4.0)
     _, weighted = physics.total_loss(
-        Tensor(scene.pred.copy()), scene.state, scene.state.body_pos,
+        Tensor(scene.pred.copy()), scene.state, _pairs(scene.state, scene.radius), scene.state.body_pos,
         scene.body_normals, scene.body_normals, scene.mesh, scene.rest,
         weights, gravity=scene.gravity, contact_radius=scene.radius, margin=scene.margin,
     )
     _, plain = physics.total_loss(
-        Tensor(scene.pred.copy()), scene.state, scene.state.body_pos,
+        Tensor(scene.pred.copy()), scene.state, _pairs(scene.state, scene.radius), scene.state.body_pos,
         scene.body_normals, scene.body_normals, scene.mesh, scene.rest,
         physics.LossWeights(), gravity=scene.gravity, contact_radius=scene.radius, margin=scene.margin,
     )
