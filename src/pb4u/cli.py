@@ -174,7 +174,7 @@ def _cmd_eval(args) -> int:
     with open(args.report, "w", newline="\n") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    print(f"evaluated {len(result.losses)} frames at K={result.k_steps}; report: {args.report}")
+    print(f"evaluated {len(result.losses)} frames at K={ctx.k_steps}; report: {args.report}")
     if result.diverged:
         print(f"numeric divergence at frame {result.diverged_at}", file=sys.stderr)
         return 3

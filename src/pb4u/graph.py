@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidArgument, InvalidMesh
+from .errors import InvalidArgument
 from .mesh import TriMesh, vertex_normals
 
 VERTEX_FEATURE_DIM = 14
@@ -29,11 +29,10 @@ EDGE_FEATURE_DIM = 7
 
 @dataclass
 class SimState:
-    """Time-t positions and velocities plus one step of history."""
+    """Time-t positions and velocities; the body's previous positions give its velocity."""
 
     garment_pos: np.ndarray       # (n_g, 3)
     garment_vel: np.ndarray       # (n_g, 3)
-    garment_pos_prev: np.ndarray  # (n_g, 3)
     body_pos: np.ndarray          # (n_b, 3)
     body_pos_prev: np.ndarray     # (n_b, 3)
     time_step: float
@@ -46,7 +45,6 @@ class SimState:
         for name, arr, rows in (
             ("garment_pos", self.garment_pos, n_g),
             ("garment_vel", self.garment_vel, n_g),
-            ("garment_pos_prev", self.garment_pos_prev, n_g),
             ("body_pos", self.body_pos, n_b),
             ("body_pos_prev", self.body_pos_prev, n_b),
         ):
@@ -61,7 +59,6 @@ class SimGraph:
     vertex_features: np.ndarray
     edge_features: np.ndarray
     garment_count: int
-    body_count: int
 
     @property
     def senders(self) -> np.ndarray:
@@ -191,23 +188,20 @@ def vertex_features(
     return out.astype(dtype, copy=False)
 
 
-def edge_features(
-    current_pos: np.ndarray,
-    rest_pos: np.ndarray,
-    edges: np.ndarray,
-    dtype=np.float64,
-) -> np.ndarray:
-    """Relative-only features for directed edges within one point set."""
-    cur = current_pos[edges[:, 1]] - current_pos[edges[:, 0]]
-    rest = rest_pos[edges[:, 1]] - rest_pos[edges[:, 0]]
-    rest_len = np.linalg.norm(rest, axis=1)
-    if np.any(rest_len <= 0):
-        raise InvalidMesh("edge with zero rest length")
-    out = np.empty((edges.shape[0], EDGE_FEATURE_DIM), dtype=np.float64)
-    out[:, 0:3] = cur
-    out[:, 3:6] = rest
-    out[:, 6] = np.linalg.norm(cur, axis=1) / rest_len
-    return out.astype(dtype, copy=False)
+def edge_features(current_pos: np.ndarray, mesh: TriMesh, dtype=np.float64) -> np.ndarray:
+    """Relative-only features of the directed mesh edges: each edge i -> j of
+    ``mesh.edges``, then each j -> i, the row order of ``SimGraph.mesh_edges``."""
+    src, dst = mesh.edges[:, 0], mesh.edges[:, 1]
+    cur = current_pos[dst] - current_pos[src]
+    forward = np.empty((src.shape[0], EDGE_FEATURE_DIM), dtype=np.float64)
+    forward[:, 0:3] = cur
+    forward[:, 3:6] = mesh.rest_positions[dst] - mesh.rest_positions[src]
+    forward[:, 6] = np.linalg.norm(cur, axis=1) / mesh.rest_edge_lengths
+    # a reverse edge has the negated vectors and the same ratio; 0 - x, not
+    # -x, keeps a zero difference +0 as the subtraction j -> i gives it
+    backward = forward.copy()
+    backward[:, 0:6] = 0.0 - forward[:, 0:6]
+    return np.concatenate([forward, backward]).astype(dtype, copy=False)
 
 
 def world_edge_features(
@@ -238,24 +232,15 @@ def build_graph(
     dtype=np.float64,
 ) -> SimGraph:
     n_g = garment_mesh.vertex_count
-    undirected = garment_mesh.edges
-    mesh_edges = np.concatenate([undirected, undirected[:, ::-1]]).astype(np.int64)
-
-    if state.body_pos.shape[0]:
-        pairs = build_world_edges(state.garment_pos, state.body_pos, world_radius)
-        wf = world_edge_features(state.garment_pos, state.body_pos, pairs, world_radius, dtype)
-        world_edges = np.stack([pairs[:, 1] + n_g, pairs[:, 0]], axis=1)
-    else:
-        world_edges = np.zeros((0, 2), dtype=np.int64)
-        wf = np.zeros((0, EDGE_FEATURE_DIM), dtype=dtype)
-
-    vf = vertex_features(state, garment_mesh, body_mesh, dtype)
-    mf = edge_features(state.garment_pos, garment_mesh.rest_positions, mesh_edges, dtype)
+    mesh_edges = np.concatenate([garment_mesh.edges, garment_mesh.edges[:, ::-1]])
+    pairs = build_world_edges(state.garment_pos, state.body_pos, world_radius)
     return SimGraph(
         mesh_edges=mesh_edges,
-        world_edges=world_edges,
-        vertex_features=vf,
-        edge_features=np.concatenate([mf, wf]),
+        world_edges=np.stack([pairs[:, 1] + n_g, pairs[:, 0]], axis=1),
+        vertex_features=vertex_features(state, garment_mesh, body_mesh, dtype),
+        edge_features=np.concatenate([
+            edge_features(state.garment_pos, garment_mesh, dtype),
+            world_edge_features(state.garment_pos, state.body_pos, pairs, world_radius, dtype),
+        ]),
         garment_count=n_g,
-        body_count=state.body_pos.shape[0],
     )

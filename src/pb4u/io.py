@@ -144,9 +144,13 @@ def load_tensors(path) -> dict[str, np.ndarray]:
     return out
 
 
-def _collect_mlp(named: dict[str, np.ndarray], prefix: str, path) -> Mlp:
+def _collect_mlp(named: dict[str, np.ndarray], prefix: str, path, in_dim: int | None, out_dim: int) -> Mlp:
+    """The MLP stored under ``prefix``; each layer takes the width the one
+    before it gives, the first takes ``in_dim`` (any width when None) and the
+    last gives ``out_dim``."""
     weights, biases = [], []
     i = 0
+    width = in_dim
     while f"{prefix}.w{i}" in named:
         w = named.pop(f"{prefix}.w{i}")
         key = f"{prefix}.b{i}"
@@ -155,20 +159,27 @@ def _collect_mlp(named: dict[str, np.ndarray], prefix: str, path) -> Mlp:
         b = named.pop(key)
         if w.ndim != 2 or b.shape != (w.shape[1],):
             raise FormatError(f"{path}: inconsistent shapes for {prefix!r} layer {i}")
+        if width is not None and w.shape[0] != width:
+            raise FormatError(f"{path}: {prefix!r} layer {i} takes {w.shape[0]} inputs, need {width}")
+        width = w.shape[1]
         weights.append(Tensor(w, track=True))
         biases.append(Tensor(b, track=True))
         i += 1
     if not weights:
         raise FormatError(f"{path}: no tensors for MLP {prefix!r}")
+    if width != out_dim:
+        raise FormatError(f"{path}: {prefix!r} gives {width} outputs, need {out_dim}")
     return Mlp(weights, biases)
 
 
 def load_checkpoint(path, expect_vertex_dim: int | None = None, expect_edge_dim: int | None = None):
     """Reconstruct (ModelParams, meta dict) from a checkpoint file.
 
-    Model structure is inferred from tensor names and shapes; pass the
-    expected feature widths to fail fast with config-mismatch on foreign
-    checkpoints.
+    Model structure is inferred from tensor names and shapes. Every width
+    must agree with the latent width ``d``, the decoder's input: the encoders
+    give ``d``, edge MLPs take ``3d``, vertex MLPs ``2d``, and the
+    propagation LayerNorm has ``d`` entries. Pass the expected feature widths
+    to fail fast with config-mismatch on foreign checkpoints.
     """
     named = load_tensors(path)
     meta = {
@@ -177,23 +188,26 @@ def load_checkpoint(path, expect_vertex_dim: int | None = None, expect_edge_dim:
         if key.startswith("meta.")
     }
 
+    decoder = _collect_mlp(named, "decoder", path, None, 3)
+    d = decoder.in_dim
+
+    def mlp(prefix: str, in_dim: int | None) -> Mlp:
+        return _collect_mlp(named, prefix, path, in_dim, d)
+
     block_ids = sorted({name.split(".")[1] for name in named if name.startswith("blocks.")})
     blocks = [
-        ProcessorBlock(
-            edge_mlp=_collect_mlp(named, f"blocks.{bid}.edge", path),
-            vertex_mlp=_collect_mlp(named, f"blocks.{bid}.vertex", path),
-        )
+        ProcessorBlock(edge_mlp=mlp(f"blocks.{bid}.edge", 3 * d), vertex_mlp=mlp(f"blocks.{bid}.vertex", 2 * d))
         for bid in block_ids
     ]
     params = ModelParams(
-        vertex_encoder=_collect_mlp(named, "vertex_encoder", path),
-        edge_encoder=_collect_mlp(named, "edge_encoder", path),
-        message_fn=_collect_mlp(named, "message_fn", path),
-        update_fn=_collect_mlp(named, "update_fn", path),
+        vertex_encoder=mlp("vertex_encoder", None),
+        edge_encoder=mlp("edge_encoder", None),
+        message_fn=mlp("message_fn", 3 * d),
+        update_fn=mlp("update_fn", 2 * d),
         blocks=blocks,
-        decoder=_collect_mlp(named, "decoder", path),
-        norm_gain=Tensor(_take(named, "prop_norm.gain", path), track=True),
-        norm_bias=Tensor(_take(named, "prop_norm.bias", path), track=True),
+        decoder=decoder,
+        norm_gain=Tensor(_take(named, "prop_norm.gain", path, d), track=True),
+        norm_bias=Tensor(_take(named, "prop_norm.bias", path, d), track=True),
     )
     if named:
         raise FormatError(f"{path}: unexpected tensors {sorted(named)}")
@@ -208,9 +222,11 @@ def load_checkpoint(path, expect_vertex_dim: int | None = None, expect_edge_dim:
     return params, meta
 
 
-def _take(named: dict[str, np.ndarray], key: str, path) -> np.ndarray:
+def _take(named: dict[str, np.ndarray], key: str, path, width: int) -> np.ndarray:
     if key not in named:
         raise FormatError(f"{path}: missing tensor {key!r}")
+    if named[key].shape != (width,):
+        raise FormatError(f"{path}: {key!r} has shape {named[key].shape}, need ({width},)")
     return named.pop(key)
 
 

@@ -92,7 +92,7 @@ class TriMesh:
         a = rest_positions[triangles[:, 1]] - rest_positions[triangles[:, 0]]
         b = rest_positions[triangles[:, 2]] - rest_positions[triangles[:, 0]]
         areas = 0.5 * np.linalg.norm(np.cross(a, b), axis=1)
-        if np.any(areas <= _MIN_AREA):
+        if not np.all(areas > _MIN_AREA):  # an overflowed cross product gives nan
             raise InvalidMesh("degenerate triangle (zero rest area)")
         # each vertex sums its corners column by column: all first corners, then second, then third
         lumped = segment_sum(np.tile(areas / 3.0, 3), triangles.T.ravel(), n)
@@ -215,6 +215,8 @@ def read_obj(path) -> tuple[np.ndarray, np.ndarray]:
             text = fh.read()
     except OSError as exc:
         raise IoError(f"cannot read OBJ {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 text: {exc}") from exc
     verts: list[tuple[float, float, float]] = []
     faces: list[tuple[int, int, int]] = []
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -248,10 +250,10 @@ def read_obj(path) -> tuple[np.ndarray, np.ndarray]:
         # other keywords (vn, vt, o, g, s, usemtl, mtllib, ...) are ignored
     if not verts or not faces:
         raise FormatError(f"{path}: no vertices or no faces")
-    triangles = np.array(faces, dtype=np.int64)
-    if triangles.max() >= len(verts):
-        raise FormatError(f"{path}: face index {triangles.max() + 1} past the last of {len(verts)} vertices")
-    return np.array(verts, dtype=np.float64), triangles
+    last = max(map(max, faces))  # checked before int64 conversion, which a huge index would overflow
+    if last >= len(verts):
+        raise FormatError(f"{path}: face index {last + 1} past the last of {len(verts)} vertices")
+    return np.array(verts, dtype=np.float64), np.array(faces, dtype=np.int64)
 
 
 def load_obj_mesh(path, material: MaterialParams = DEFAULT_MATERIAL) -> TriMesh:

@@ -79,6 +79,11 @@ class ModelParams:
     def latent_dim(self) -> int:
         return self.decoder.in_dim
 
+    @property
+    def dtype(self) -> np.dtype:
+        """The precision a step runs at: that of the parameters."""
+        return self.decoder.weights[0].dtype
+
     def named_tensors(self) -> dict[str, Tensor]:
         """Stable name -> tensor map; block indices are zero-padded so the
         lexicographic checkpoint order matches the numeric order."""
@@ -178,18 +183,18 @@ def encode(graph: SimGraph, params: ModelParams) -> LatentGraph:
 def propagate(latent: LatentGraph, k_steps: int, gamma: float, params: ModelParams) -> Tensor:
     """K rounds of message accumulation with no feature update in between.
 
-    H starts as V. Receivers are garment vertices only; body rows pass
-    through untouched, so K = 0 returns V itself.
+    Returns the garment rows of H, which starts as V; receivers are garment
+    vertices only, so body rows stay V's and K = 0 returns V's garment rows.
     """
     if k_steps < 0:
         raise InvalidArgument(f"k_steps must be >= 0, got {k_steps}")
-    if k_steps == 0:
-        return latent.V
     n_g = latent.garment_count
+    h_garment = dc.gather(latent.V, np.arange(n_g))
+    if k_steps == 0:
+        return h_garment
     n_total = latent.V.data.shape[0]
     if latent.receivers.size and latent.receivers.max() >= n_g:
         raise InvalidArgument("message receivers must be garment vertices")
-    h_garment = dc.gather(latent.V, np.arange(n_g))
     h_body = dc.gather(latent.V, np.arange(n_g, n_total))
     for _ in range(k_steps):
         h_full = dc.concat([h_garment, h_body], axis=0)
@@ -199,20 +204,17 @@ def propagate(latent: LatentGraph, k_steps: int, gamma: float, params: ModelPara
         aggregated = dc.scatter_add(messages, latent.receivers, n_g)
         normalized = dc.layer_norm(aggregated, params.norm_gain, params.norm_bias)
         h_garment = dc.add(h_garment * gamma, normalized)
-    return dc.concat([h_garment, h_body], axis=0)
+    return h_garment
 
 
-def update(latent: LatentGraph, h_k: Tensor, params: ModelParams) -> Tensor:
-    """One collective fuse of original and propagated features (garment rows)."""
+def update(latent: LatentGraph, h_garment: Tensor, params: ModelParams) -> Tensor:
+    """One collective fuse of original and propagated garment features; body
+    rows stay V's."""
     n_g = latent.garment_count
     n_total = latent.V.data.shape[0]
     v_garment = dc.gather(latent.V, np.arange(n_g))
-    h_garment = dc.gather(h_k, np.arange(n_g))
     fused = params.update_fn(dc.concat([v_garment, h_garment], axis=1))
-    if n_total == n_g:
-        return fused
-    v_body = dc.gather(latent.V, np.arange(n_g, n_total))
-    return dc.concat([fused, v_body], axis=0)
+    return dc.concat([fused, dc.gather(latent.V, np.arange(n_g, n_total))], axis=0)
 
 
 def process(latent: LatentGraph, v: Tensor, params: ModelParams) -> Tensor:
@@ -227,10 +229,7 @@ def process(latent: LatentGraph, v: Tensor, params: ModelParams) -> Tensor:
         incoming = dc.scatter_add(e, latent.receivers, n_g)
         v_garment = dc.gather(v, np.arange(n_g))
         v_garment = dc.add(v_garment, block.vertex_mlp(dc.concat([v_garment, incoming], axis=1)))
-        if n_total == n_g:
-            v = v_garment
-        else:
-            v = dc.concat([v_garment, dc.gather(v, np.arange(n_g, n_total))], axis=0)
+        v = dc.concat([v_garment, dc.gather(v, np.arange(n_g, n_total))], axis=0)
     return v
 
 
@@ -250,8 +249,8 @@ def forward_accelerations(
     k_steps: int,
 ) -> Tensor:
     latent = encode(graph, params)
-    h_k = propagate(latent, k_steps, config.gamma, params)
-    v_prime = update(latent, h_k, params)
+    h_garment = propagate(latent, k_steps, config.gamma, params)
+    v_prime = update(latent, h_garment, params)
     v_final = process(latent, v_prime, params)
     return decode_and_scale(v_final, scale, params)
 
@@ -266,14 +265,15 @@ def step(
     k_steps: int,
     world_radius: float,
     body_next_pos: np.ndarray,
-    dtype=np.float32,
 ) -> tuple[SimState, Tensor, np.ndarray]:
-    """One simulator step: build graph, predict accelerations, integrate
-    forward Euler, advance the body kinematically, shift history.
+    """One simulator step at the precision of ``params``: build graph,
+    predict accelerations, integrate forward Euler, advance the body
+    kinematically.
 
     Returns the next state (float64 master copy), the predicted positions
     (a Tensor, for a training loss to backpropagate) and ``graph.world_pairs``.
     """
+    dtype = params.dtype
     graph = build_graph(state, garment_mesh, body_mesh, world_radius, dtype=dtype)
     accel = forward_accelerations(graph, scale, params, config, k_steps)
     dt = state.time_step
@@ -284,7 +284,6 @@ def step(
     next_state = SimState(
         garment_pos=pos_next.data.astype(np.float64),
         garment_vel=vel_next.data.astype(np.float64),
-        garment_pos_prev=state.garment_pos.copy(),
         body_pos=np.asarray(body_next_pos, dtype=np.float64),
         body_pos_prev=state.body_pos.copy(),
         time_step=dt,

@@ -35,7 +35,6 @@ class SimContext:
     k_steps: int
     mean_edge: float
     weights: LossWeights = field(default_factory=LossWeights)
-    dtype: type = np.float32
 
     @classmethod
     def build(
@@ -47,7 +46,6 @@ class SimContext:
         update_scaling: bool = True,
         forced_k: int | None = None,
         weights: LossWeights | None = None,
-        dtype=np.float32,
     ) -> "SimContext":
         """K follows the mesh resolution (``propagation_steps``) unless
         ``forced_k`` sets it outright."""
@@ -64,7 +62,6 @@ class SimContext:
             k_steps=k,
             mean_edge=edge,
             weights=weights or LossWeights(),
-            dtype=dtype,
         )
 
 
@@ -107,7 +104,6 @@ def advance(
         ctx.k_steps,
         ctx.scene.world_radius,
         body_next,
-        dtype=ctx.dtype,
     )
     pred = _apply_pins_tensor(ctx, pred)
     next_state.garment_pos = pred.data.astype(np.float64)
@@ -141,8 +137,6 @@ class RolloutResult:
     states: list
     losses: list            # LossBreakdown per completed frame
     latencies_ms: list
-    k_steps: int
-    mean_edge: float
     diverged: bool = False
     diverged_at: int | None = None
 
@@ -159,7 +153,7 @@ def run_rollout(
     """Roll the model forward; on numeric divergence the frames completed so
     far are retained and the result is flagged."""
     state = start_state if start_state is not None else ctx.scene.initial_state()
-    result = RolloutResult(states=[], losses=[], latencies_ms=[], k_steps=ctx.k_steps, mean_edge=ctx.mean_edge)
+    result = RolloutResult(states=[], losses=[], latencies_ms=[])
     for f in range(frames):
         began = time.perf_counter()
         try:
@@ -223,7 +217,7 @@ def evaluation_report(ctx: SimContext, result: RolloutResult) -> dict:
             "vertices": int(ctx.scene.garment.vertex_count),
             "triangles": int(ctx.scene.garment.triangles.shape[0]),
             "mean_edge_length": ctx.mean_edge,
-            "k_steps": result.k_steps,
+            "k_steps": ctx.k_steps,
         },
         "latency_ms_mean": float(np.mean(result.latencies_ms)) if result.latencies_ms else None,
         "diverged": result.diverged,

@@ -119,6 +119,12 @@ class Scene:
             raise InvalidArgument("initial positions do not match the garment mesh")
         if self.frames < 1:
             raise InvalidArgument("scene needs at least one frame")
+        if not self.dt > 0:
+            raise InvalidArgument(f"dt must be positive, got {self.dt}")
+        if not self.world_radius > 0:
+            raise InvalidArgument(f"world_edge_radius must be positive, got {self.world_radius}")
+        if not self.contact_margin >= 0:
+            raise InvalidArgument(f"contact_margin must be >= 0, got {self.contact_margin}")
         if self.pinned.size and (self.pinned.min() < 0 or self.pinned.max() >= self.garment.vertex_count):
             raise InvalidArgument("pinned index out of range")
 
@@ -130,7 +136,6 @@ class Scene:
         return SimState(
             garment_pos=self.initial_positions.copy(),
             garment_vel=np.zeros_like(self.initial_positions),
-            garment_pos_prev=self.initial_positions.copy(),
             body_pos=body0,
             body_pos_prev=body0.copy(),
             time_step=self.dt,

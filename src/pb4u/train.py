@@ -156,7 +156,6 @@ def _free_fall_states(scene: Scene) -> list:
         nxt = SimState(
             garment_pos=pos,
             garment_vel=vel,
-            garment_pos_prev=state.garment_pos.copy(),
             body_pos=scene.body_positions(f + 1),
             body_pos_prev=state.body_pos.copy(),
             time_step=state.time_step,
@@ -239,7 +238,7 @@ def train(config: TrainConfig, scenes: list, diagnostics_dir=None) -> TrainResul
     l_base = mean_edge_length(scenes[0].garment)
     ctrl = calibrate(config.k_base, l_base)
     contexts = [
-        SimContext.build(scene, network_config, ctrl, weights=config.weights, dtype=np.float32)
+        SimContext.build(scene, network_config, ctrl, weights=config.weights)
         for scene in scenes
     ]
 

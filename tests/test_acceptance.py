@@ -125,7 +125,6 @@ def _path_graph(n=6, seed=SEED):
         vertex_features=r.normal(size=(n, VERTEX_FEATURE_DIM)),
         edge_features=r.normal(size=(directed.shape[0], EDGE_FEATURE_DIM)),
         garment_count=n,
-        body_count=0,
     )
 
 
@@ -177,7 +176,6 @@ def test_criterion_04_update_scaling_law():
         state = SimState(
             garment_pos=mesh.rest_positions.copy(),
             garment_vel=np.zeros((mesh.vertex_count, 3)),
-            garment_pos_prev=mesh.rest_positions.copy(),
             body_pos=np.zeros((0, 3)),
             body_pos_prev=np.zeros((0, 3)),
             time_step=0.02,
@@ -203,16 +201,15 @@ def test_criterion_05_translation_invariance(workspace):
     moved = SimState(
         garment_pos=state.garment_pos + shift,
         garment_vel=state.garment_vel.copy(),
-        garment_pos_prev=state.garment_pos_prev + shift,
         body_pos=state.body_pos + shift,
         body_pos_prev=state.body_pos_prev + shift,
         time_step=state.time_step,
     )
     body_next = scene.body_positions(1)
     base, _, _ = net.step(state, scene.garment, scene.body_mesh, scale, params, config, 8,
-                          scene.world_radius, body_next, dtype=np.float64)
+                          scene.world_radius, body_next)
     trans, _, _ = net.step(moved, scene.garment, scene.body_mesh, scale, params, config, 8,
-                           scene.world_radius, body_next + shift, dtype=np.float64)
+                           scene.world_radius, body_next + shift)
     accel_base = (base.garment_vel - state.garment_vel) / state.time_step
     accel_trans = (trans.garment_vel - moved.garment_vel) / state.time_step
     assert np.max(np.abs(accel_trans - accel_base)) <= 1e-6
@@ -248,7 +245,6 @@ def test_criterion_07_physics_zero_and_reference_cases():
     state = SimState(
         garment_pos=mesh.rest_positions.copy(),
         garment_vel=np.zeros((16, 3)),
-        garment_pos_prev=mesh.rest_positions.copy(),
         body_pos=body_pos,
         body_pos_prev=body_pos.copy(),
         time_step=0.02,
@@ -299,7 +295,7 @@ def _probe_mean_total(scene_path, params, config: TrainConfig) -> float:
 
     scene = pio.load_scene(scene_path)
     ctrl = control.calibrate(config.k_base, mean_edge_length(scene.garment))
-    ctx = SimContext.build(scene, config.network_config(), ctrl, dtype=np.float32)
+    ctx = SimContext.build(scene, config.network_config(), ctrl)
     refresh_buffer(scene, ctx, params, use_model=False)
     totals = []
     for entry in scene.buffer[:: max(1, len(scene.buffer) // 16)]:
@@ -406,21 +402,21 @@ def test_criterion_10_determinism_and_persistence(workspace):
     assert ckpt_a.read_bytes() == ckpt_b.read_bytes(), "same seed must give bitwise-identical checkpoints"
 
     scene = pio.load_scene(scene_path)
-    ctx = SimContext.build(scene, config.network_config(), results[0].control, dtype=np.float32)
+    ctx = SimContext.build(scene, config.network_config(), results[0].control)
     in_memory = run_rollout(ctx, results[0].params, 10)
     assert not in_memory.diverged
     dir_mem = workspace / "rollout_mem"
     write_rollout_outputs(in_memory, scene, dir_mem, workspace / "mem.csv")
 
     again = run_rollout(SimContext.build(pio.load_scene(scene_path), config.network_config(),
-                                         results[0].control, dtype=np.float32), results[0].params, 10)
+                                         results[0].control), results[0].params, 10)
     dir_rep = workspace / "rollout_rep"
     write_rollout_outputs(again, scene, dir_rep, workspace / "rep.csv")
 
     loaded_params, meta = pio.load_checkpoint(ckpt_a)
     ctrl = control.calibrate(int(meta["k_base"]), meta["l_base"])
-    loaded = run_rollout(SimContext.build(pio.load_scene(scene_path), config.network_config(), ctrl,
-                                          dtype=np.float32), loaded_params, 10)
+    loaded = run_rollout(SimContext.build(pio.load_scene(scene_path), config.network_config(), ctrl),
+                         loaded_params, 10)
     dir_load = workspace / "rollout_load"
     write_rollout_outputs(loaded, scene, dir_load, workspace / "load.csv")
 

@@ -71,6 +71,7 @@ def test_train_bad_config_value_is_format_error(tmp_path, capsys, field, value):
     (("dt",), "a"), (("gravity",), None), (("world_edge_radius",), "x"), (("frames",), 2.5),
     (("garment", "n"), "x"), (("garment", "origin"), "ab"), (("garment", "pinned"), [1.5]),
     (("body", "keyframes"), "abc"), (("body", "lat"), 12.7), (("material", "lame_mu"), "x"),
+    (("world_edge_radius",), -1.0), (("dt",), 0.0), (("contact_margin",), -1.0),
 ], ids=lambda v: ".".join(v) if isinstance(v, tuple) else json.dumps(v))
 def test_train_bad_scene_value_is_format_error(tmp_path, capsys, path, value):
     doc = drape_sphere_preset(4, frames=4)
@@ -320,6 +321,29 @@ def test_eval_bad_checkpoint_header_entry_is_format_error(workdir, tmp_path, cap
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "decoder.b0" in err and err.count("\n") == 1
+
+
+# the workdir model has latent width d = 32; each edit breaks one width rule
+@pytest.mark.parametrize("edits, named", [
+    ({"decoder.w1": (5, 32)}, "decoder"),                                  # w1 rows != w0 columns
+    ({"message_fn.w0": (64, 32)}, "message_fn"),                           # input 2d, need 3d
+    ({"blocks.00.vertex.w0": (96, 32)}, "blocks.00.vertex"),               # input 3d, need 2d
+    ({"vertex_encoder.w2": (32, 16), "vertex_encoder.b2": (16,)}, "vertex_encoder"),  # outputs d/2
+    ({"decoder.w2": (32, 4), "decoder.b2": (4,)}, "decoder"),              # outputs 4, need 3
+    ({"prop_norm.gain": (16,)}, "prop_norm.gain"),                         # shape (d/2,)
+], ids=["chain", "message-input", "vertex-input", "encoder-output", "decoder-output", "norm-width"])
+def test_eval_checkpoint_width_mismatch_is_format_error(workdir, tmp_path, capsys, edits, named):
+    tensors = pio.load_tensors(workdir / "model.ckpt")
+    for name, shape in edits.items():
+        tensors[name] = np.zeros(shape, dtype=np.float32)
+    bad = tmp_path / "bad.ckpt"
+    pio.save_tensors(tensors, bad)
+    rc = main(["eval", "--ckpt", str(bad), "--scene", str(workdir / "scene.json"),
+               "--frames", "1", "--report", str(tmp_path / "report.json")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and repr(named) in err and err.count("\n") == 1
+    assert not (tmp_path / "report.json").exists()
 
 
 def test_divergent_checkpoint_exit_code_and_partial_outputs(workdir, tmp_path):

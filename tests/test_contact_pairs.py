@@ -26,7 +26,6 @@ def _drape_frame():
     state = scene.initial_state()
     top = scene.body_positions(0)[:, 1].max()
     state.garment_pos[:, 1] += top + 1e-3
-    state.garment_pos_prev[:] = state.garment_pos
     return scene, state, 0
 
 

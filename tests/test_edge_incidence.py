@@ -5,13 +5,15 @@ Hinges, hinge weights, rest dihedrals and midpoint subdivision are built from
 list alone, keying every side by its sorted vertex pair. Lumped areas,
 vertex normals and scale factors go through ``segment_sum``; their oracles
 are the per-corner ``np.add.at`` loops it replaced. Triangle areas and
-dihedral angles are checked against plain numpy formulas. The results must
-match bitwise.
+dihedral angles are checked against plain numpy formulas, and mesh-edge
+features against the per-directed-edge formula that recomputed every rest
+length. The results must match bitwise.
 """
 
 import numpy as np
 import pytest
 
+from pb4u import graph
 from pb4u import mesh as m
 from pb4u import physics
 from pb4u.diffcore import Tensor
@@ -148,3 +150,25 @@ def test_subdivision_matches_loop_oracle_bitwise(mesh):
     positions, triangles = _oracle_subdivide(mesh)
     assert np.array_equal(fine.rest_positions, positions)
     assert np.array_equal(fine.triangles, triangles)
+
+
+def _directed_edge_features(current_pos, rest_pos, edges):
+    """Each directed edge's features computed on its own, rest length included."""
+    cur = current_pos[edges[:, 1]] - current_pos[edges[:, 0]]
+    rest = rest_pos[edges[:, 1]] - rest_pos[edges[:, 0]]
+    out = np.empty((edges.shape[0], graph.EDGE_FEATURE_DIM))
+    out[:, 0:3] = cur
+    out[:, 3:6] = rest
+    out[:, 6] = np.linalg.norm(cur, axis=1) / np.linalg.norm(rest, axis=1)
+    return out
+
+
+def test_mesh_edge_features_match_per_directed_edge_formula_bitwise(mesh):
+    pos = mesh.rest_positions + 0.05 * np.random.default_rng(9).standard_normal(mesh.rest_positions.shape)
+    directed = np.concatenate([mesh.edges, mesh.edges[:, ::-1]])
+    for current in (mesh.rest_positions, pos):
+        got = graph.edge_features(current, mesh)
+        want = _directed_edge_features(current, mesh.rest_positions, directed)
+        assert np.array_equal(got, want)
+        assert got.tobytes() == want.tobytes()   # the sign of every zero too
+        assert np.array_equal(graph.edge_features(current, mesh, np.float32), want.astype(np.float32))

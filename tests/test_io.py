@@ -13,6 +13,8 @@ from hypothesis import strategies as st
 from pb4u import io as pio
 from pb4u import network as net
 from pb4u.errors import ConfigMismatch, FormatError, IoError
+from pb4u.graph import SimGraph
+from pb4u.mesh import ScaleFactors
 from pb4u.scenes import Scene, drape_sphere_preset, hang_pinned_preset
 
 CFG = net.NetworkConfig(latent_dim=16, processor_depth=2)
@@ -273,6 +275,8 @@ def _mutated(doc, edits):
             parent[path[-1]]
         except (KeyError, IndexError, TypeError):
             continue
+        if isinstance(parent, str):   # an earlier edit put a string where a container was
+            continue
         if value is _DELETE:
             del parent[path[-1]]
         else:
@@ -306,6 +310,7 @@ def test_scene_loader_returns_scene_or_format_error(base, edits):
     assert type(scene.frames) is int and scene.frames >= 1
     for value in (scene.dt, scene.gravity, scene.world_radius, scene.contact_margin, scene.body.radius):
         assert _finite(value)
+    assert scene.dt > 0 and scene.world_radius > 0 and scene.contact_margin >= 0
     assert np.all(np.isfinite(scene.body.keyframes)) and scene.pinned.dtype == np.int64
 
 
@@ -316,6 +321,7 @@ _CKPT_VALUE = (
     | st.lists(st.integers(-2, 2**40) | _CKPT_SCALAR, max_size=4)
     | st.lists(st.just(1), min_size=60, max_size=70)   # around numpy's limit on dimensions
     | st.lists(st.sampled_from([0, 2**63, 2**70]), min_size=1, max_size=3)   # zero elements, huge extents
+    | st.tuples(st.sampled_from([3, 7, 14, 16, 32, 48]), st.just(16)).map(list)   # a d-wide weight of any input width
     | st.dictionaries(st.text(max_size=3), _CKPT_SCALAR, max_size=2)
     | st.just(_DELETE)
 )
@@ -351,3 +357,20 @@ def test_checkpoint_loader_returns_or_raises_format_or_io_error(tmp_path, checkp
     except (FormatError, IoError):
         return
     assert isinstance(params, net.ModelParams) and isinstance(meta, dict)
+    # every checkpoint that loads runs: its widths chain from the features to the accelerations
+    graph = _tiny_graph(params.vertex_encoder.in_dim, params.edge_encoder.in_dim)
+    with np.errstate(all="ignore"):  # a moved byte offset can read any float
+        accel = net.forward_accelerations(graph, ScaleFactors(np.ones(3)), params, net.NetworkConfig(), 2)
+    assert accel.shape == (3, 3)
+
+
+def _tiny_graph(vertex_dim: int, edge_dim: int) -> SimGraph:
+    """A 3-vertex garment path with one body vertex messaging its middle."""
+    r = np.random.default_rng(0)
+    return SimGraph(
+        mesh_edges=np.array([[0, 1], [1, 2], [1, 0], [2, 1]]),
+        world_edges=np.array([[3, 1]]),
+        vertex_features=r.normal(size=(4, vertex_dim)).astype(np.float32),
+        edge_features=r.normal(size=(5, edge_dim)).astype(np.float32),
+        garment_count=3,
+    )

@@ -6,7 +6,7 @@ edge/triangle lists rather than by the code paths under test.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from pb4u import mesh as m
@@ -230,6 +230,13 @@ def test_degenerate_triangle_rejected():
         m.TriMesh.from_triangles(positions, np.array([[0, 1, 2]]), MAT)
 
 
+def test_overflowing_degenerate_triangle_rejected():
+    # the cross product of these collinear sides is inf - inf = nan, not 0
+    positions = np.array([[0.0, 0, 0], [1e200, 0, 1e200], [2e200, 0, 2e200]])
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(InvalidMesh, match="degenerate"):
+        m.TriMesh.from_triangles(positions, np.array([[0, 1, 2]]), MAT)
+
+
 def test_triangle_edges_index_every_sorted_side():
     mesh = m.subdivide_midpoint(m.make_grid_cloth(4, 1.0, MAT))
     assert mesh.triangle_edges.shape == mesh.triangles.shape
@@ -294,3 +301,47 @@ def test_obj_rejects_quads_and_garbage(tmp_path):
     junk.write_text("v 0 0 zero\n")
     with pytest.raises(FormatError):
         m.read_obj(junk)
+
+
+# OBJ fuzzing: a valid grid OBJ with lines dropped, tokens replaced (face
+# indices among them), and lines inserted, some of them nan/inf coordinates
+# or bytes that are not UTF-8
+_OBJ_TOKEN = (st.integers(-3, 12).map(str) | st.floats(allow_nan=True, allow_infinity=True).map(repr)
+              | st.sampled_from(["nan", "inf", "-inf", "1e999", "1/2/3", "2//", "v", "f", "#", "",
+                                 "9" * 25, "0x10", "1_0"])
+              | st.text(max_size=3))
+_OBJ_LINE = (st.lists(_OBJ_TOKEN, min_size=3, max_size=4).flatmap(
+                 lambda tokens: st.sampled_from(["v", "f", "vn", "#"]).map(lambda key: " ".join([key, *tokens])))
+             | st.sampled_from(["v nan 0 0", "v 0 inf 0", "v 0 0 -1e999", "f 1 2", "f 1 1 2", "\udcff\udcfe"]))
+_OBJ_EDIT = (st.tuples(st.just("drop"), st.integers(0, 99))
+             | st.tuples(st.just("token"), st.integers(0, 99), st.integers(0, 3), _OBJ_TOKEN)
+             | st.tuples(st.just("insert"), st.integers(0, 99), _OBJ_LINE))
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(edits=st.lists(_OBJ_EDIT, min_size=1, max_size=4))
+def test_obj_loader_returns_mesh_or_format_error(tmp_path, edits):
+    grid = m.make_grid_cloth(3, 1.0, MAT)
+    path = tmp_path / "fuzzed.obj"
+    m.write_obj(path, grid.rest_positions, grid.triangles)
+    lines = path.read_text().splitlines()
+    for kind, at, *rest in edits:
+        at %= len(lines) + 1
+        if kind == "drop" and at < len(lines):
+            del lines[at]
+        elif kind == "token" and at < len(lines) and lines[at].split():
+            parts = lines[at].split()
+            parts[rest[0] % len(parts)] = rest[1]
+            lines[at] = " ".join(parts)
+        elif kind == "insert":
+            lines.insert(at, rest[0])
+    # lone surrogates become the raw bytes they stand for, so some files are not UTF-8
+    path.write_bytes("\n".join(lines).encode("utf-8", "surrogateescape") + b"\n")
+    try:
+        mesh = m.load_obj_mesh(path)
+    except (FormatError, InvalidMesh):
+        return
+    assert isinstance(mesh, m.TriMesh)
+    assert np.all(np.isfinite(mesh.rest_positions))
+    assert mesh.triangles.min() >= 0 and mesh.triangles.max() < mesh.vertex_count
+    assert np.all(mesh.triangle_areas > 0) and np.all(mesh.rest_edge_lengths > 0)

@@ -4,11 +4,15 @@ import numpy as np
 import pytest
 
 from pb4u import diffcore as dc
+from pb4u import io as pio
 from pb4u import network as net
+from pb4u.control import calibrate
 from pb4u.errors import InvalidArgument, NumericDivergence
 from pb4u.graph import EDGE_FEATURE_DIM, VERTEX_FEATURE_DIM, SimGraph, SimState, build_graph
 from pb4u.mesh import DEFAULT_MATERIAL as MAT
-from pb4u.mesh import ScaleFactors, make_grid_cloth, rest_scale_factors
+from pb4u.mesh import ScaleFactors, make_grid_cloth, mean_edge_length, rest_scale_factors
+from pb4u.rollout import SimContext, advance
+from pb4u.scenes import drape_sphere_preset
 
 CFG = net.NetworkConfig(latent_dim=32, gamma=0.9, k_steps=3, processor_depth=2)
 
@@ -26,7 +30,6 @@ def path_graph(n=6, seed=0, dtype=np.float64):
         vertex_features=vf,
         edge_features=ef,
         garment_count=n,
-        body_count=0,
     )
 
 
@@ -40,7 +43,8 @@ def test_encode_shapes_and_h_initialization():
     latent = net.encode(graph, params)
     assert latent.V.shape == (6, CFG.latent_dim)
     assert latent.E.shape == (10, CFG.latent_dim)
-    assert net.propagate(latent, 0, CFG.gamma, params) is latent.V  # the aggregate starts as V
+    # the aggregate starts as V's garment rows
+    assert np.array_equal(net.propagate(latent, 0, CFG.gamma, params).data, latent.V.data[:latent.garment_count])
 
 
 def test_encode_zero_params_gives_zero_latents():
@@ -67,7 +71,7 @@ def test_propagate_zero_steps_is_identity():
     graph = path_graph()
     params = make_params()
     latent = net.encode(graph, params)
-    assert net.propagate(latent, 0, 0.9, params) is latent.V
+    assert np.array_equal(net.propagate(latent, 0, 0.9, params).data, latent.V.data[:latent.garment_count])
 
 
 def test_propagate_single_step_matches_manual_unroll():
@@ -163,7 +167,6 @@ def test_update_permutation_equivariance():
         vertex_features=graph.vertex_features[perm],
         edge_features=graph.edge_features,
         garment_count=6,
-        body_count=0,
     )
     latent_p = net.encode(permuted, params)
     v_perm = net.update(latent_p, net.propagate(latent_p, 2, 0.9, params), params).data
@@ -241,7 +244,6 @@ def test_decode_and_scale_ratio_matches_scale_factors():
     state = SimState(
         garment_pos=grid.rest_positions.copy(),
         garment_vel=np.zeros((9, 3)),
-        garment_pos_prev=grid.rest_positions.copy(),
         body_pos=np.zeros((0, 3)),
         body_pos_prev=np.zeros((0, 3)),
         time_step=0.02,
@@ -267,7 +269,6 @@ def drape_state(grid, dt=0.02):
     return body, SimState(
         garment_pos=grid.rest_positions.copy(),
         garment_vel=np.zeros((grid.vertex_count, 3)),
-        garment_pos_prev=grid.rest_positions.copy(),
         body_pos=body_pos,
         body_pos_prev=body_pos.copy(),
         time_step=dt,
@@ -283,11 +284,11 @@ def test_step_statics_and_drift_with_zero_decoder():
     for b in params.decoder.biases:
         b.data[:] = 0.0
     scale = rest_scale_factors(grid)
-    nxt, _, _ = net.step(state, grid, body, scale, params, CFG, 2, 0.3, state.body_pos, dtype=np.float64)
+    nxt, _, _ = net.step(state, grid, body, scale, params, CFG, 2, 0.3, state.body_pos)
     assert np.array_equal(nxt.garment_pos, state.garment_pos)
 
     state.garment_vel[:] = [0.1, 0.0, -0.2]
-    nxt, _, _ = net.step(state, grid, body, scale, params, CFG, 2, 0.3, state.body_pos, dtype=np.float64)
+    nxt, _, _ = net.step(state, grid, body, scale, params, CFG, 2, 0.3, state.body_pos)
     assert np.allclose(nxt.garment_pos, state.garment_pos + 0.02 * np.array([0.1, 0.0, -0.2]), atol=1e-15)
 
 
@@ -296,8 +297,8 @@ def test_step_deterministic_replay():
     body, state = drape_state(grid)
     params = net.init_params(CFG, seed=10, dtype=np.float64)
     scale = rest_scale_factors(grid)
-    a, _, _ = net.step(state, grid, body, scale, params, CFG, 3, 0.3, state.body_pos, dtype=np.float64)
-    b, _, _ = net.step(state, grid, body, scale, params, CFG, 3, 0.3, state.body_pos, dtype=np.float64)
+    a, _, _ = net.step(state, grid, body, scale, params, CFG, 3, 0.3, state.body_pos)
+    b, _, _ = net.step(state, grid, body, scale, params, CFG, 3, 0.3, state.body_pos)
     assert np.array_equal(a.garment_pos, b.garment_pos)
     assert np.array_equal(a.garment_vel, b.garment_vel)
 
@@ -311,13 +312,12 @@ def test_step_translation_equivariance():
     moved = SimState(
         garment_pos=state.garment_pos + shift,
         garment_vel=state.garment_vel.copy(),
-        garment_pos_prev=state.garment_pos_prev + shift,
         body_pos=state.body_pos + shift,
         body_pos_prev=state.body_pos_prev + shift,
         time_step=state.time_step,
     )
-    base, _, _ = net.step(state, grid, body, scale, params, CFG, 3, 0.3, state.body_pos, dtype=np.float64)
-    trans, _, _ = net.step(moved, grid, body, scale, params, CFG, 3, 0.3, moved.body_pos, dtype=np.float64)
+    base, _, _ = net.step(state, grid, body, scale, params, CFG, 3, 0.3, state.body_pos)
+    trans, _, _ = net.step(moved, grid, body, scale, params, CFG, 3, 0.3, moved.body_pos)
     accel_base = (base.garment_vel - state.garment_vel) / state.time_step
     accel_trans = (trans.garment_vel - moved.garment_vel) / state.time_step
     assert np.max(np.abs(accel_trans - accel_base)) <= 1e-6
@@ -329,7 +329,7 @@ def test_full_step_permutation_equivariance():
     body, state = drape_state(grid)
     params = net.init_params(CFG, seed=14, dtype=np.float64)
     base, _, _ = net.step(state, grid, body, rest_scale_factors(grid), params, CFG, 2, 0.3,
-                          state.body_pos, dtype=np.float64)
+                          state.body_pos)
 
     perm = np.random.default_rng(6).permutation(grid.vertex_count)
     inverse = np.argsort(perm)
@@ -340,13 +340,12 @@ def test_full_step_permutation_equivariance():
     state_p = SimState(
         garment_pos=state.garment_pos[perm],
         garment_vel=state.garment_vel[perm],
-        garment_pos_prev=state.garment_pos_prev[perm],
         body_pos=state.body_pos,
         body_pos_prev=state.body_pos_prev,
         time_step=state.time_step,
     )
     permuted, _, _ = net.step(state_p, relabeled, body, rest_scale_factors(relabeled), params, CFG, 2, 0.3,
-                              state_p.body_pos, dtype=np.float64)
+                              state_p.body_pos)
     # edge orderings change under relabeling, so sums agree to rounding only
     assert np.allclose(permuted.garment_pos, base.garment_pos[perm], atol=1e-9)
     assert np.allclose(permuted.garment_vel, base.garment_vel[perm], atol=1e-9)
@@ -358,7 +357,27 @@ def test_step_divergence_detection():
     params = net.init_params(CFG, seed=12, dtype=np.float64)
     params.decoder.biases[-1].data[:] = np.inf
     with pytest.raises(NumericDivergence):
-        net.step(state, grid, body, rest_scale_factors(grid), params, CFG, 1, 0.3, state.body_pos, dtype=np.float64)
+        net.step(state, grid, body, rest_scale_factors(grid), params, CFG, 1, 0.3, state.body_pos)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_advance_steps_at_the_parameters_precision(dtype):
+    """A default SimContext steps at the precision of the parameters: advance
+    equals build_graph + forward_accelerations + forward Euler at that dtype."""
+    scene = pio.scene_from_dict(drape_sphere_preset(6, frames=4))
+    ctx = SimContext.build(scene, CFG, calibrate(3, mean_edge_length(scene.garment)))
+    params = net.init_params(CFG, seed=15, dtype=dtype)
+    state = scene.initial_state()
+    state.garment_pos[:, 1] += scene.body_positions(0)[:, 1].max() + 1e-3   # just above the sphere's pole
+    next_state, pred, pairs = advance(ctx, state, 0, params)
+
+    graph = build_graph(state, scene.garment, scene.body_mesh, scene.world_radius, dtype=dtype)
+    accel = net.forward_accelerations(graph, ctx.scale, params, CFG, ctx.k_steps).data
+    vel = state.garment_vel.astype(dtype) + accel * dtype(state.time_step)
+    pos = state.garment_pos.astype(dtype) + vel * dtype(state.time_step)
+    assert pairs.shape[0] > 0 and np.array_equal(pairs, graph.world_pairs)
+    assert pred.dtype == dtype and np.array_equal(pred.data, pos)
+    assert np.array_equal(next_state.garment_vel, vel.astype(np.float64))
 
 
 def test_config_validation():

@@ -161,7 +161,6 @@ def contact_state(dt=0.02):
     return SimState(
         garment_pos=garment,
         garment_vel=np.zeros((1, 3)),
-        garment_pos_prev=garment.copy(),
         body_pos=body,
         body_pos_prev=body.copy(),
         time_step=dt,
@@ -178,7 +177,6 @@ def test_friction_zero_without_contacts():
     far = SimState(
         garment_pos=state.garment_pos + np.array([0.0, 1.0, 0.0]),
         garment_vel=state.garment_vel,
-        garment_pos_prev=state.garment_pos_prev,
         body_pos=state.body_pos,
         body_pos_prev=state.body_pos_prev,
         time_step=state.time_step,
@@ -213,7 +211,6 @@ def test_inertia_free_flight_is_zero():
     state = SimState(
         garment_pos=grid.rest_positions.copy(),
         garment_vel=vel,
-        garment_pos_prev=grid.rest_positions.copy(),
         body_pos=np.zeros((0, 3)),
         body_pos_prev=np.zeros((0, 3)),
         time_step=0.02,
@@ -244,7 +241,6 @@ def test_translation_invariance_of_non_gravity_terms():
     state2 = SimState(
         garment_pos=scene.state.garment_pos + shift,
         garment_vel=scene.state.garment_vel,
-        garment_pos_prev=scene.state.garment_pos_prev + shift,
         body_pos=scene.state.body_pos + shift,
         body_pos_prev=scene.state.body_pos_prev + shift,
         time_step=scene.state.time_step,
@@ -275,7 +271,6 @@ def test_rotation_invariance_of_stretch_bending_inertia():
     rotated_state = SimState(
         garment_pos=state.garment_pos @ rot.T,
         garment_vel=state.garment_vel @ rot.T,
-        garment_pos_prev=state.garment_pos_prev @ rot.T,
         body_pos=state.body_pos @ rot.T,
         body_pos_prev=state.body_pos_prev @ rot.T,
         time_step=state.time_step,
@@ -300,7 +295,6 @@ def rest_scene_at_origin():
     state = SimState(
         garment_pos=mesh.rest_positions.copy(),
         garment_vel=np.zeros((16, 3)),
-        garment_pos_prev=mesh.rest_positions.copy(),
         body_pos=body_pos,
         body_pos_prev=body_pos.copy(),
         time_step=0.02,

@@ -59,7 +59,6 @@ def scene_with_buffer(n_states):
         shifted = SimState(
             garment_pos=base.garment_pos + f * 0.01,
             garment_vel=base.garment_vel.copy(),
-            garment_pos_prev=base.garment_pos_prev.copy(),
             body_pos=base.body_pos.copy(),
             body_pos_prev=base.body_pos_prev.copy(),
             time_step=base.time_step,
