@@ -10,7 +10,11 @@ digests exactly when a change keeps the outputs bit-for-bit equal:
   - ``train-base``: the log rows and final parameters of a 6-iteration
     ``train()`` on the benchmark's training inputs (seed 0);
   - ``rollout-fine`` and ``rollout-dense-body``: states and loss rows of a
-    4-frame rollout with the first seeded model (seed 0).
+    4-frame rollout with the first seeded model (seed 0);
+  - ``train-pinned``: the log rows, final parameters and final buffer
+    states of a 6-iteration ``train()`` on a hang-pinned grid-10 scene, with
+    a buffer refresh every 2 iterations and 2-step rollouts, so pinned
+    vertices pass through free fall, model refreshes and training steps.
 
 BLAS runs on one thread, as in the benchmark.
 """
@@ -32,7 +36,8 @@ import numpy as np  # noqa: E402
 import workloads as wl  # noqa: E402
 from pb4u import io as pio  # noqa: E402
 from pb4u.rollout import SimContext, run_rollout  # noqa: E402
-from pb4u.train import train  # noqa: E402
+from pb4u.scenes import hang_pinned_preset  # noqa: E402
+from pb4u.train import TrainConfig, train  # noqa: E402
 
 
 def put_array(h, a) -> None:
@@ -72,6 +77,21 @@ def main() -> None:
             for row in rolled.losses:
                 put_row(h, row)
             print(f"{name:<18} {h.hexdigest()}")
+        scene = pio.scene_from_dict(hang_pinned_preset(10, frames=12))
+        config = TrainConfig(scenes=[], iterations=6, buffer_refresh=2, rollout_steps=2, latent_dim=16,
+                             processor_depth=1, k_base=3, seed=3)
+        result = train(config, [scene])
+        h = hashlib.sha256()
+        for row in result.log:
+            put_row(h, row)
+        for name, t in sorted(result.params.named_tensors().items()):
+            h.update(name.encode())
+            put_array(h, t.data)
+        for entry in scene.buffer:
+            h.update(f"frame={entry.frame};".encode())
+            for field in dataclasses.fields(entry.state):
+                put_array(h, getattr(entry.state, field.name))
+        print(f"train-pinned       {h.hexdigest()}")
 
 
 if __name__ == "__main__":

@@ -84,7 +84,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--ckpt", required=True)
     p.add_argument("--scene", required=True)
     p.add_argument("--k-range", required=True, help="A:B inclusive")
-    p.add_argument("--frames", type=int, default=10)
+    p.add_argument("--frames", type=_frame_count, default=10)
     p.add_argument("--out", required=True)
 
     p = add_parser("gradcheck", help="finite-difference check of every energy gradient")
@@ -99,10 +99,17 @@ def _build_parser() -> _Parser:
 def _rollout_flags(p) -> None:
     p.add_argument("--ckpt", required=True)
     p.add_argument("--scene", required=True)
-    p.add_argument("--frames", type=int, required=True)
+    p.add_argument("--frames", type=_frame_count, required=True)
     p.add_argument("--no-adaptive-k", action="store_true", help="force K = K_base regardless of resolution")
     p.add_argument("--no-update-scaling", action="store_true", help="disable per-vertex acceleration scaling")
     p.add_argument("--forced-k", type=int, default=None, help="override the propagation depth outright")
+
+
+def _frame_count(text: str) -> int:
+    frames = int(text)
+    if frames < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {frames}")
+    return frames
 
 
 def _load_model(ckpt_path):

@@ -55,26 +55,8 @@ class Tensor:
     def __add__(self, other):
         return add(self, _wrap(other, self))
 
-    def __radd__(self, other):
-        return add(_wrap(other, self), self)
-
-    def __sub__(self, other):
-        return sub(self, _wrap(other, self))
-
-    def __rsub__(self, other):
-        return sub(_wrap(other, self), self)
-
     def __mul__(self, other):
         return mul(self, _wrap(other, self))
-
-    def __rmul__(self, other):
-        return mul(_wrap(other, self), self)
-
-    def __truediv__(self, other):
-        return div(self, _wrap(other, self))
-
-    def __rtruediv__(self, other):
-        return div(_wrap(other, self), self)
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}, tracked={self.tracked})"

@@ -146,12 +146,7 @@ def build_world_edges(garment_pos: np.ndarray, body_pos: np.ndarray, radius: flo
     return np.stack([combined // n_b, combined % n_b], axis=1)
 
 
-def vertex_features(
-    state: SimState,
-    garment_mesh: TriMesh,
-    body_mesh: TriMesh | None,
-    dtype=np.float64,
-) -> np.ndarray:
+def vertex_features(state: SimState, garment_mesh: TriMesh, body_mesh: TriMesh) -> np.ndarray:
     """Feature rows for garment then body vertices. Body velocity is the
     backward difference of its scripted motion; body mass is zero (kinematic).
     """
@@ -161,10 +156,7 @@ def vertex_features(
             f"state has {state.garment_pos.shape[0]} garment vertices, mesh has {n_g}"
         )
     n_b = state.body_pos.shape[0]
-    if body_mesh is None:
-        if n_b != 0:
-            raise InvalidArgument("body positions given without a body mesh")
-    elif body_mesh.vertex_count != n_b:
+    if body_mesh.vertex_count != n_b:
         raise InvalidArgument(
             f"state has {n_b} body vertices, mesh has {body_mesh.vertex_count}"
         )
@@ -180,15 +172,14 @@ def vertex_features(
     out[:n_g, 7:12] = material
     out[:n_g, 12] = 1.0
 
-    if n_b:
-        out[n_g:, 0:3] = (state.body_pos - state.body_pos_prev) / state.time_step
-        out[n_g:, 4:7] = vertex_normals(state.body_pos, body_mesh)
-        out[n_g:, 7:12] = material
-        out[n_g:, 13] = 1.0
-    return out.astype(dtype, copy=False)
+    out[n_g:, 0:3] = (state.body_pos - state.body_pos_prev) / state.time_step
+    out[n_g:, 4:7] = vertex_normals(state.body_pos, body_mesh)
+    out[n_g:, 7:12] = material
+    out[n_g:, 13] = 1.0
+    return out
 
 
-def edge_features(current_pos: np.ndarray, mesh: TriMesh, dtype=np.float64) -> np.ndarray:
+def edge_features(current_pos: np.ndarray, mesh: TriMesh) -> np.ndarray:
     """Relative-only features of the directed mesh edges: each edge i -> j of
     ``mesh.edges``, then each j -> i, the row order of ``SimGraph.mesh_edges``."""
     src, dst = mesh.edges[:, 0], mesh.edges[:, 1]
@@ -201,16 +192,10 @@ def edge_features(current_pos: np.ndarray, mesh: TriMesh, dtype=np.float64) -> n
     # -x, keeps a zero difference +0 as the subtraction j -> i gives it
     backward = forward.copy()
     backward[:, 0:6] = 0.0 - forward[:, 0:6]
-    return np.concatenate([forward, backward]).astype(dtype, copy=False)
+    return np.concatenate([forward, backward])
 
 
-def world_edge_features(
-    garment_pos: np.ndarray,
-    body_pos: np.ndarray,
-    pairs: np.ndarray,
-    radius: float,
-    dtype=np.float64,
-) -> np.ndarray:
+def world_edge_features(garment_pos: np.ndarray, body_pos: np.ndarray, pairs: np.ndarray, radius: float) -> np.ndarray:
     """World edges have no rest state; the rest slot is the current vector
     rescaled to the search radius, so the ratio feature is |current|/radius
     and stays in [0, 1)."""
@@ -221,26 +206,28 @@ def world_edge_features(
     out[:, 0:3] = cur
     out[:, 3:6] = direction * radius
     out[:, 6] = length / radius
-    return out.astype(dtype, copy=False)
+    return out
 
 
 def build_graph(
     state: SimState,
     garment_mesh: TriMesh,
-    body_mesh: TriMesh | None,
+    body_mesh: TriMesh,
     world_radius: float,
     dtype=np.float64,
 ) -> SimGraph:
+    """The step graph of ``state``; features are built in float64 and cast
+    once to ``dtype``, the precision the network runs at."""
     n_g = garment_mesh.vertex_count
     mesh_edges = np.concatenate([garment_mesh.edges, garment_mesh.edges[:, ::-1]])
     pairs = build_world_edges(state.garment_pos, state.body_pos, world_radius)
     return SimGraph(
         mesh_edges=mesh_edges,
         world_edges=np.stack([pairs[:, 1] + n_g, pairs[:, 0]], axis=1),
-        vertex_features=vertex_features(state, garment_mesh, body_mesh, dtype),
+        vertex_features=vertex_features(state, garment_mesh, body_mesh).astype(dtype, copy=False),
         edge_features=np.concatenate([
-            edge_features(state.garment_pos, garment_mesh, dtype),
-            world_edge_features(state.garment_pos, state.body_pos, pairs, world_radius, dtype),
-        ]),
+            edge_features(state.garment_pos, garment_mesh),
+            world_edge_features(state.garment_pos, state.body_pos, pairs, world_radius),
+        ]).astype(dtype, copy=False),
         garment_count=n_g,
     )

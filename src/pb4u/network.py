@@ -258,20 +258,18 @@ def forward_accelerations(
 def step(
     state: SimState,
     garment_mesh: TriMesh,
-    body_mesh: TriMesh | None,
+    body_mesh: TriMesh,
     scale: ScaleFactors,
     params: ModelParams,
     config: NetworkConfig,
     k_steps: int,
     world_radius: float,
-    body_next_pos: np.ndarray,
-) -> tuple[SimState, Tensor, np.ndarray]:
+) -> tuple[Tensor, Tensor, np.ndarray]:
     """One simulator step at the precision of ``params``: build graph,
-    predict accelerations, integrate forward Euler, advance the body
-    kinematically.
+    predict accelerations, integrate forward Euler.
 
-    Returns the next state (float64 master copy), the predicted positions
-    (a Tensor, for a training loss to backpropagate) and ``graph.world_pairs``.
+    Returns the next garment positions and velocities (Tensors, for a
+    training loss to backpropagate) and ``graph.world_pairs``.
     """
     dtype = params.dtype
     graph = build_graph(state, garment_mesh, body_mesh, world_radius, dtype=dtype)
@@ -281,11 +279,4 @@ def step(
     pos_next = dc.add(Tensor(state.garment_pos.astype(dtype)), vel_next * dt)
     if not np.all(np.isfinite(pos_next.data)):
         raise NumericDivergence("non-finite positions after integration step")
-    next_state = SimState(
-        garment_pos=pos_next.data.astype(np.float64),
-        garment_vel=vel_next.data.astype(np.float64),
-        body_pos=np.asarray(body_next_pos, dtype=np.float64),
-        body_pos_prev=state.body_pos.copy(),
-        time_step=dt,
-    )
-    return next_state, pos_next, graph.world_pairs
+    return pos_next, vel_next, graph.world_pairs

@@ -1,5 +1,5 @@
 """Autoregressive rollout machinery shared by training, evaluation, and the
-CLI: scene stepping with pin constraints, per-frame losses, divergence
+CLI: model steps over a scene's states, per-frame losses, divergence
 handling, and OBJ/metrics output."""
 
 from __future__ import annotations
@@ -65,26 +65,6 @@ class SimContext:
         )
 
 
-def _apply_pins_tensor(ctx: SimContext, pred: Tensor) -> Tensor:
-    pinned = ctx.scene.pinned
-    if pinned.size == 0:
-        return pred
-    n = pred.data.shape[0]
-    mask = np.ones((n, 3), dtype=pred.dtype)
-    mask[pinned] = 0.0
-    targets = np.zeros((n, 3), dtype=pred.dtype)
-    targets[pinned] = ctx.scene.pinned_targets()
-    return (pred * Tensor(mask)) + Tensor(targets)
-
-
-def _apply_pins_state(ctx: SimContext, state: SimState) -> SimState:
-    pinned = ctx.scene.pinned
-    if pinned.size:
-        state.garment_pos[pinned] = ctx.scene.pinned_targets()
-        state.garment_vel[pinned] = 0.0
-    return state
-
-
 def advance(
     ctx: SimContext,
     state: SimState,
@@ -92,22 +72,15 @@ def advance(
     params: net.ModelParams,
 ) -> tuple[SimState, Tensor, np.ndarray]:
     """One model step from the state at ``frame`` to ``frame + 1``, with
-    pinned vertices held at their scripted positions; returns as ``net.step``."""
-    body_next = ctx.scene.body_positions(frame + 1)
-    next_state, pred, pairs = net.step(
-        state,
-        ctx.scene.garment,
-        ctx.scene.body_mesh,
-        ctx.scale,
-        params,
-        ctx.config,
-        ctx.k_steps,
-        ctx.scene.world_radius,
-        body_next,
+    pinned vertices held at their scripted positions. Returns the next state
+    (float64 master copy), the predicted positions (a Tensor, for a training
+    loss to backpropagate) and the step graph's world-edge pairs."""
+    scene = ctx.scene
+    pred, vel, pairs = net.step(
+        state, scene.garment, scene.body_mesh, ctx.scale, params, ctx.config, ctx.k_steps, scene.world_radius
     )
-    pred = _apply_pins_tensor(ctx, pred)
-    next_state.garment_pos = pred.data.astype(np.float64)
-    _apply_pins_state(ctx, next_state)
+    pred = scene.hold_pins(pred)
+    next_state = scene.state_at(frame + 1, pred.data.astype(np.float64), vel.data.astype(np.float64))
     return next_state, pred, pairs
 
 

@@ -2,16 +2,19 @@
 
 A Scene owns the garment mesh, its initial placement (optionally with pinned
 vertices held fixed kinematically), a keyframed body primitive tessellated as
-a triangle mesh, and the shared simulation constants. Scenes also carry the
+a triangle mesh, and the shared simulation constants. It is the one place
+that assembles a state at a frame and holds the pins. Scenes also carry the
 experience buffer that training samples from.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from .diffcore import Tensor
 from .errors import InvalidArgument, InvalidState
 from .graph import SimState
 from .mesh import DEFAULT_MATERIAL, MaterialParams, TriMesh, make_grid_cloth, mean_edge_length
@@ -131,18 +134,37 @@ class Scene:
     def body_positions(self, frame: int) -> np.ndarray:
         return self.body_mesh.rest_positions + self.body.center_at(frame * self.dt)
 
-    def initial_state(self) -> SimState:
-        body0 = self.body_positions(0)
+    def state_at(self, frame: int, garment_pos: np.ndarray, garment_vel: np.ndarray) -> SimState:
+        """The state at ``frame`` over the given garment arrays, whose pinned
+        rows are set in place to their targets at rest. The body follows its
+        script from rest: frame 0 has no previous frame."""
+        garment_pos[self.pinned] = self.pinned_targets()
+        garment_vel[self.pinned] = 0.0
         return SimState(
-            garment_pos=self.initial_positions.copy(),
-            garment_vel=np.zeros_like(self.initial_positions),
-            body_pos=body0,
-            body_pos_prev=body0.copy(),
+            garment_pos=garment_pos,
+            garment_vel=garment_vel,
+            body_pos=self.body_positions(frame),
+            body_pos_prev=self.body_positions(max(frame - 1, 0)),
             time_step=self.dt,
         )
 
+    def initial_state(self) -> SimState:
+        return self.state_at(0, self.initial_positions.copy(), np.zeros_like(self.initial_positions))
+
     def pinned_targets(self) -> np.ndarray:
         return self.initial_positions[self.pinned]
+
+    def hold_pins(self, positions: Tensor) -> Tensor:
+        """Predicted positions with the pinned rows replaced by their targets,
+        as one differentiable mask-and-add."""
+        if self.pinned.size == 0:
+            return positions
+        n = positions.data.shape[0]
+        mask = np.ones((n, 3), dtype=positions.dtype)
+        mask[self.pinned] = 0.0
+        targets = np.zeros((n, 3), dtype=positions.dtype)
+        targets[self.pinned] = self.pinned_targets()
+        return (positions * Tensor(mask)) + Tensor(targets)
 
     def max_penetration(self, garment_pos: np.ndarray, frame: int) -> float:
         """Deepest garment penetration into the analytic body at a frame;
@@ -206,6 +228,11 @@ def _grid_preset(grid_n: int, side: float, frames: int, dt: float, garment: dict
     the start, middle and end of the scene."""
     if grid_n < 2:
         raise InvalidArgument(f"grid needs n >= 2, got {grid_n}")
+    if frames < 1:
+        raise InvalidArgument(f"frames must be >= 1, got {frames}")
+    for name, value in (("dt", dt), ("side", side)):
+        if not (math.isfinite(value) and value > 0):
+            raise InvalidArgument(f"{name} must be a finite positive number, got {value}")
     probe = make_grid_cloth(grid_n, side, DEFAULT_MATERIAL)
     duration = frames * dt
     return {

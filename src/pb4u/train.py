@@ -149,18 +149,8 @@ def _free_fall_states(scene: Scene) -> list:
     state = states[0].state
     for f in range(scene.frames - 1):
         vel = state.garment_vel + state.time_step * np.array([0.0, -scene.gravity, 0.0])
-        pos = state.garment_pos + state.time_step * vel
-        if scene.pinned.size:
-            pos[scene.pinned] = scene.pinned_targets()
-            vel[scene.pinned] = 0.0
-        nxt = SimState(
-            garment_pos=pos,
-            garment_vel=vel,
-            body_pos=scene.body_positions(f + 1),
-            body_pos_prev=state.body_pos.copy(),
-            time_step=state.time_step,
-        )
-        if scene.max_penetration(pos, f + 1) > _FREE_FALL_PENETRATION:
+        nxt = scene.state_at(f + 1, state.garment_pos + state.time_step * vel, vel)
+        if scene.max_penetration(nxt.garment_pos, f + 1) > _FREE_FALL_PENETRATION:
             break
         states.append(BufferedFrame(f + 1, nxt))
         state = nxt

@@ -173,14 +173,17 @@ def test_criterion_04_update_scaling_law():
         scale = rest_scale_factors(mesh)
         assert np.array_equal(scale.s, _brute_force_scale(mesh))
 
+        body = make_grid_cloth(2, 0.4, DEFAULT_MATERIAL)
+        far = body.rest_positions + 100.0
         state = SimState(
             garment_pos=mesh.rest_positions.copy(),
             garment_vel=np.zeros((mesh.vertex_count, 3)),
-            body_pos=np.zeros((0, 3)),
-            body_pos_prev=np.zeros((0, 3)),
+            body_pos=far,
+            body_pos_prev=far.copy(),
             time_step=0.02,
         )
-        graph = build_graph(state, mesh, None, world_radius=0.1, dtype=np.float64)
+        graph = build_graph(state, mesh, body, world_radius=0.1, dtype=np.float64)
+        assert graph.world_edges.shape[0] == 0
         latent = net.encode(graph, params)
         v = net.process(latent, net.update(latent, net.propagate(latent, 2, config.gamma, params), params), params)
         raw = net.decode_and_scale(v, ScaleFactors(np.ones(mesh.vertex_count)), params).data
@@ -205,17 +208,16 @@ def test_criterion_05_translation_invariance(workspace):
         body_pos_prev=state.body_pos_prev + shift,
         time_step=state.time_step,
     )
-    body_next = scene.body_positions(1)
-    base, _, _ = net.step(state, scene.garment, scene.body_mesh, scale, params, config, 8,
-                          scene.world_radius, body_next)
-    trans, _, _ = net.step(moved, scene.garment, scene.body_mesh, scale, params, config, 8,
-                           scene.world_radius, body_next + shift)
-    accel_base = (base.garment_vel - state.garment_vel) / state.time_step
-    accel_trans = (trans.garment_vel - moved.garment_vel) / state.time_step
+    base_pos, base_vel, _ = net.step(state, scene.garment, scene.body_mesh, scale, params, config, 8,
+                                     scene.world_radius)
+    trans_pos, trans_vel, _ = net.step(moved, scene.garment, scene.body_mesh, scale, params, config, 8,
+                                       scene.world_radius)
+    accel_base = (base_vel.data - state.garment_vel) / state.time_step
+    accel_trans = (trans_vel.data - moved.garment_vel) / state.time_step
     assert np.max(np.abs(accel_trans - accel_base)) <= 1e-6
     # float addition is not associative, so "exactly the translation" is
     # asserted at the accumulated-rounding scale rather than bitwise
-    assert np.max(np.abs((trans.garment_pos - base.garment_pos) - shift)) <= 1e-9
+    assert np.max(np.abs((trans_pos.data - base_pos.data) - shift)) <= 1e-9
     assert time.perf_counter() - started < 5.0
 
 

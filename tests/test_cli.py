@@ -49,6 +49,18 @@ def test_gen_scene_usage_errors(tmp_path):
     assert main(["gen-scene", "--preset", "nonsense", "--grid", "8", "--out", str(tmp_path / "x.json")]) == 1
 
 
+@pytest.mark.parametrize("flag, value, named", [
+    ("--dt", "0", "dt"), ("--dt", "-1", "dt"), ("--dt", "nan", "dt"),
+    ("--frames", "0", "frames"), ("--frames", "-3", "frames"), ("--side", "inf", "side"),
+])
+def test_gen_scene_names_the_bad_flag(tmp_path, capsys, flag, value, named):
+    out = tmp_path / "x.json"
+    assert main(["gen-scene", "--preset", "hang-pinned", "--grid", "4", "--out", str(out), flag, value]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"invalid input: {named} must be ") and "Warning" not in err
+    assert not out.exists()
+
+
 def test_train_missing_config_is_io_error(tmp_path):
     assert main(["train", "--config", str(tmp_path / "absent.json"), "--out", str(tmp_path / "m.ckpt")]) == 2
 
@@ -239,6 +251,19 @@ def test_sweep_k_rows_and_determinism(workdir, tmp_path):
     assert [int(r.split(",")[0]) for r in rows[1:]] == [1, 2, 3, 4]
     assert a.read_text() == b.read_text()
     assert main(base + ["--k-range", "4:1", "--out", str(a)]) == 1
+
+
+@pytest.mark.parametrize("command, frames, rest", [
+    ("rollout", "-2", ["--out-dir", "{tmp}/frames", "--metrics", "{tmp}/m.csv"]),
+    ("eval", "0", ["--report", "{tmp}/r.json"]),
+    ("sweep-k", "-1", ["--k-range", "1:2", "--out", "{tmp}/k.csv"]),
+])
+def test_frames_below_one_is_a_usage_error(workdir, tmp_path, capsys, command, frames, rest):
+    args = [command, "--ckpt", str(workdir / "model.ckpt"), "--scene", str(workdir / "scene.json"),
+            "--frames", frames] + [arg.format(tmp=tmp_path) for arg in rest]
+    assert main(args) == 1
+    assert "usage error: argument --frames: must be >= 1" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_gradcheck_passes():

@@ -166,9 +166,14 @@ def _directed_edge_features(current_pos, rest_pos, edges):
 def test_mesh_edge_features_match_per_directed_edge_formula_bitwise(mesh):
     pos = mesh.rest_positions + 0.05 * np.random.default_rng(9).standard_normal(mesh.rest_positions.shape)
     directed = np.concatenate([mesh.edges, mesh.edges[:, ::-1]])
+    body = m.make_grid_cloth(2, 0.4, MAT)
+    far = body.rest_positions + 100.0
     for current in (mesh.rest_positions, pos):
         got = graph.edge_features(current, mesh)
         want = _directed_edge_features(current, mesh.rest_positions, directed)
         assert np.array_equal(got, want)
         assert got.tobytes() == want.tobytes()   # the sign of every zero too
-        assert np.array_equal(graph.edge_features(current, mesh, np.float32), want.astype(np.float32))
+        state = graph.SimState(current, np.zeros_like(current), far, far, 0.02)
+        sg = graph.build_graph(state, mesh, body, world_radius=0.1, dtype=np.float32)
+        assert sg.world_edges.shape[0] == 0
+        assert np.array_equal(sg.edge_features, want.astype(np.float32))

@@ -21,12 +21,9 @@ def brute_force_pairs(garment, body, radius):
     return sorted(pairs)
 
 
-def make_state(garment_mesh, body_mesh=None, dt=0.02, garment_pos=None, body_pos=None):
+def make_state(garment_mesh, body_mesh, dt=0.02, garment_pos=None, body_pos=None):
     gp = garment_mesh.rest_positions.copy() if garment_pos is None else garment_pos
-    if body_mesh is None:
-        bp = np.zeros((0, 3))
-    else:
-        bp = body_mesh.rest_positions.copy() if body_pos is None else body_pos
+    bp = body_mesh.rest_positions.copy() if body_pos is None else body_pos
     return g.SimState(
         garment_pos=gp,
         garment_vel=np.zeros_like(gp),
@@ -72,11 +69,19 @@ def test_world_edges_sorted_and_validated():
         g.build_world_edges(garment, body, 0.0)
 
 
+def far_state(garment_mesh):
+    """A state whose body is far from the garment: the garment rows of every
+    feature are those of the garment alone."""
+    body = m.make_grid_cloth(2, 0.4, MAT)
+    return body, make_state(garment_mesh, body, body_pos=body.rest_positions + 100.0)
+
+
 def test_vertex_features_rest_grid():
     grid = m.make_grid_cloth(3, 1.0, MAT)
-    state = make_state(grid)
-    feats = g.vertex_features(state, grid, None)
-    assert feats.shape == (9, g.VERTEX_FEATURE_DIM)
+    body, state = far_state(grid)
+    feats = g.vertex_features(state, grid, body)
+    assert feats.shape == (9 + 4, g.VERTEX_FEATURE_DIM)
+    feats = feats[:9]
     assert np.all(feats[:, 0:3] == 0.0)          # zero velocity
     assert np.allclose(feats[:, 4:7], [0, 1, 0])  # flat grid normals
     assert np.all(feats[:, 12] == 1.0)            # garment one-hot
@@ -85,8 +90,8 @@ def test_vertex_features_rest_grid():
 
 def test_vertex_mass_matches_per_face_area_oracle():
     grid = m.make_grid_cloth(3, 1.0, MAT)
-    state = make_state(grid)
-    feats = g.vertex_features(state, grid, None)
+    body, state = far_state(grid)
+    feats = g.vertex_features(state, grid, body)
     center = 4  # interior vertex of the 3x3 grid
     area_sum = 0.0
     for tri in grid.triangles:
@@ -188,10 +193,10 @@ def test_graph_translation_invariance_bitwise_features():
 def test_feature_width_constant_across_resolution():
     grid = m.make_grid_cloth(3, 1.0, MAT)
     fine = m.subdivide_midpoint(grid)
-    s1 = make_state(grid)
-    s2 = make_state(fine)
-    f1 = g.vertex_features(s1, grid, None)
-    f2 = g.vertex_features(s2, fine, None)
+    body, s1 = far_state(grid)
+    _, s2 = far_state(fine)
+    f1 = g.vertex_features(s1, grid, body)
+    f2 = g.vertex_features(s2, fine, body)
     assert f1.shape[1] == f2.shape[1] == g.VERTEX_FEATURE_DIM
 
 

@@ -241,14 +241,17 @@ def _edges_after_block(latent, v, block):
 
 def test_decode_and_scale_ratio_matches_scale_factors():
     grid = make_grid_cloth(3, 1.0, MAT)
+    body = make_grid_cloth(2, 0.4, MAT)
+    far = body.rest_positions + 100.0
     state = SimState(
         garment_pos=grid.rest_positions.copy(),
         garment_vel=np.zeros((9, 3)),
-        body_pos=np.zeros((0, 3)),
-        body_pos_prev=np.zeros((0, 3)),
+        body_pos=far,
+        body_pos_prev=far.copy(),
         time_step=0.02,
     )
-    graph = build_graph(state, grid, None, world_radius=0.1, dtype=np.float64)
+    graph = build_graph(state, grid, body, world_radius=0.1, dtype=np.float64)
+    assert graph.world_edges.shape[0] == 0
     params = net.init_params(CFG, seed=8, dtype=np.float64)
     latent = net.encode(graph, params)
     v = net.process(latent, net.update(latent, net.propagate(latent, 2, 0.9, params), params), params)
@@ -284,12 +287,12 @@ def test_step_statics_and_drift_with_zero_decoder():
     for b in params.decoder.biases:
         b.data[:] = 0.0
     scale = rest_scale_factors(grid)
-    nxt, _, _ = net.step(state, grid, body, scale, params, CFG, 2, 0.3, state.body_pos)
-    assert np.array_equal(nxt.garment_pos, state.garment_pos)
+    pos, _, _ = net.step(state, grid, body, scale, params, CFG, 2, 0.3)
+    assert np.array_equal(pos.data, state.garment_pos)
 
     state.garment_vel[:] = [0.1, 0.0, -0.2]
-    nxt, _, _ = net.step(state, grid, body, scale, params, CFG, 2, 0.3, state.body_pos)
-    assert np.allclose(nxt.garment_pos, state.garment_pos + 0.02 * np.array([0.1, 0.0, -0.2]), atol=1e-15)
+    pos, _, _ = net.step(state, grid, body, scale, params, CFG, 2, 0.3)
+    assert np.allclose(pos.data, state.garment_pos + 0.02 * np.array([0.1, 0.0, -0.2]), atol=1e-15)
 
 
 def test_step_deterministic_replay():
@@ -297,10 +300,10 @@ def test_step_deterministic_replay():
     body, state = drape_state(grid)
     params = net.init_params(CFG, seed=10, dtype=np.float64)
     scale = rest_scale_factors(grid)
-    a, _, _ = net.step(state, grid, body, scale, params, CFG, 3, 0.3, state.body_pos)
-    b, _, _ = net.step(state, grid, body, scale, params, CFG, 3, 0.3, state.body_pos)
-    assert np.array_equal(a.garment_pos, b.garment_pos)
-    assert np.array_equal(a.garment_vel, b.garment_vel)
+    a_pos, a_vel, _ = net.step(state, grid, body, scale, params, CFG, 3, 0.3)
+    b_pos, b_vel, _ = net.step(state, grid, body, scale, params, CFG, 3, 0.3)
+    assert np.array_equal(a_pos.data, b_pos.data)
+    assert np.array_equal(a_vel.data, b_vel.data)
 
 
 def test_step_translation_equivariance():
@@ -316,20 +319,19 @@ def test_step_translation_equivariance():
         body_pos_prev=state.body_pos_prev + shift,
         time_step=state.time_step,
     )
-    base, _, _ = net.step(state, grid, body, scale, params, CFG, 3, 0.3, state.body_pos)
-    trans, _, _ = net.step(moved, grid, body, scale, params, CFG, 3, 0.3, moved.body_pos)
-    accel_base = (base.garment_vel - state.garment_vel) / state.time_step
-    accel_trans = (trans.garment_vel - moved.garment_vel) / state.time_step
+    base_pos, base_vel, _ = net.step(state, grid, body, scale, params, CFG, 3, 0.3)
+    trans_pos, trans_vel, _ = net.step(moved, grid, body, scale, params, CFG, 3, 0.3)
+    accel_base = (base_vel.data - state.garment_vel) / state.time_step
+    accel_trans = (trans_vel.data - moved.garment_vel) / state.time_step
     assert np.max(np.abs(accel_trans - accel_base)) <= 1e-6
-    assert np.max(np.abs((trans.garment_pos - base.garment_pos) - shift)) <= 1e-9
+    assert np.max(np.abs((trans_pos.data - base_pos.data) - shift)) <= 1e-9
 
 
 def test_full_step_permutation_equivariance():
     grid = make_grid_cloth(3, 1.0, MAT)
     body, state = drape_state(grid)
     params = net.init_params(CFG, seed=14, dtype=np.float64)
-    base, _, _ = net.step(state, grid, body, rest_scale_factors(grid), params, CFG, 2, 0.3,
-                          state.body_pos)
+    base_pos, base_vel, _ = net.step(state, grid, body, rest_scale_factors(grid), params, CFG, 2, 0.3)
 
     perm = np.random.default_rng(6).permutation(grid.vertex_count)
     inverse = np.argsort(perm)
@@ -344,11 +346,11 @@ def test_full_step_permutation_equivariance():
         body_pos_prev=state.body_pos_prev,
         time_step=state.time_step,
     )
-    permuted, _, _ = net.step(state_p, relabeled, body, rest_scale_factors(relabeled), params, CFG, 2, 0.3,
-                              state_p.body_pos)
+    permuted_pos, permuted_vel, _ = net.step(state_p, relabeled, body, rest_scale_factors(relabeled), params,
+                                             CFG, 2, 0.3)
     # edge orderings change under relabeling, so sums agree to rounding only
-    assert np.allclose(permuted.garment_pos, base.garment_pos[perm], atol=1e-9)
-    assert np.allclose(permuted.garment_vel, base.garment_vel[perm], atol=1e-9)
+    assert np.allclose(permuted_pos.data, base_pos.data[perm], atol=1e-9)
+    assert np.allclose(permuted_vel.data, base_vel.data[perm], atol=1e-9)
 
 
 def test_step_divergence_detection():
@@ -357,7 +359,7 @@ def test_step_divergence_detection():
     params = net.init_params(CFG, seed=12, dtype=np.float64)
     params.decoder.biases[-1].data[:] = np.inf
     with pytest.raises(NumericDivergence):
-        net.step(state, grid, body, rest_scale_factors(grid), params, CFG, 1, 0.3, state.body_pos)
+        net.step(state, grid, body, rest_scale_factors(grid), params, CFG, 1, 0.3)
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
