@@ -14,7 +14,9 @@ digests exactly when a change keeps the outputs bit-for-bit equal:
   - ``train-pinned``: the log rows, final parameters and final buffer
     states of a 6-iteration ``train()`` on a hang-pinned grid-10 scene, with
     a buffer refresh every 2 iterations and 2-step rollouts, so pinned
-    vertices pass through free fall, model refreshes and training steps.
+    vertices pass through free fall, model refreshes and training steps;
+  - ``gradcheck``: the ``repr`` of ``validate.energy_gradchecks(seed)``
+    (the ``pb4u gradcheck`` errors) for seeds 0-3.
 
 BLAS runs on one thread, as in the benchmark.
 """
@@ -35,6 +37,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 import numpy as np  # noqa: E402
 import workloads as wl  # noqa: E402
 from pb4u import io as pio  # noqa: E402
+from pb4u import validate  # noqa: E402
 from pb4u.rollout import SimContext, run_rollout  # noqa: E402
 from pb4u.scenes import hang_pinned_preset  # noqa: E402
 from pb4u.train import TrainConfig, train  # noqa: E402
@@ -92,6 +95,10 @@ def main() -> None:
             for field in dataclasses.fields(entry.state):
                 put_array(h, getattr(entry.state, field.name))
         print(f"train-pinned       {h.hexdigest()}")
+    h = hashlib.sha256()
+    for seed in range(4):
+        h.update(repr(validate.energy_gradchecks(seed)).encode())
+    print(f"gradcheck          {h.hexdigest()}")
 
 
 if __name__ == "__main__":

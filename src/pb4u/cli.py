@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -37,9 +38,9 @@ from .errors import (
 )
 from .graph import EDGE_FEATURE_DIM, VERTEX_FEATURE_DIM
 from .mesh import load_obj_mesh, subdivide_midpoint, write_obj
-from .rollout import SimContext, evaluation_report, run_rollout, write_rollout_outputs
+from .rollout import SimContext, evaluation_report, run_rollout, write_loss_csv, write_rollout_outputs
 from .scenes import PRESETS
-from .train import train, write_train_log
+from .train import TRAIN_LOG_COLUMNS, train
 
 GRADCHECK_TOLERANCE = 1e-4
 
@@ -112,13 +113,23 @@ def _frame_count(text: str) -> int:
     return frames
 
 
+# each comparison is false for nan
+_META_RULES = (
+    ("gamma", "in [0, 1]", lambda v: 0.0 <= v <= 1.0),
+    ("k_base", "a whole number >= 1", lambda v: v >= 1 and float(v).is_integer()),
+    ("l_base", "finite and > 0", lambda v: 0.0 < v < math.inf),
+)
+
+
 def _load_model(ckpt_path):
     params, meta = pio.load_checkpoint(
         ckpt_path, expect_vertex_dim=VERTEX_FEATURE_DIM, expect_edge_dim=EDGE_FEATURE_DIM
     )
-    for key in ("gamma", "k_base", "l_base"):
+    for key, rule, valid in _META_RULES:
         if key not in meta:
             raise FormatError(f"{ckpt_path}: checkpoint is missing meta.{key}")
+        if not valid(meta[key]):
+            raise FormatError(f"{ckpt_path}: meta.{key} must be {rule}, got {meta[key]!r}")
     config = net.NetworkConfig(
         latent_dim=params.latent_dim,
         gamma=meta["gamma"],
@@ -152,7 +163,7 @@ def _cmd_train(args, seed_override) -> int:
     result = train(config, scenes, diagnostics_dir=Path(args.out).parent)
     pio.save_checkpoint(result.params, args.out, meta=result.checkpoint_meta())
     log_path = args.log if args.log else f"{args.out}.log.csv"
-    write_train_log(result.log, log_path)
+    write_loss_csv(result.log, log_path, "iter", TRAIN_LOG_COLUMNS)
     first, last = result.log[0].total, result.log[-1].total
     print(f"trained {config.iterations} iterations: total {first:.6g} -> {last:.6g}")
     print(f"wrote checkpoint {args.out} and log {log_path}")
@@ -211,7 +222,11 @@ def _cmd_sweep_k(args) -> int:
         mean_total = float(np.mean(totals)) if totals else float("nan")
         return k, mean_total, result.diverged
 
-    threads = max(1, int(os.environ.get("PB4U_THREADS", "1")))
+    threads_text = os.environ.get("PB4U_THREADS", "1")
+    try:
+        threads = max(1, int(threads_text))
+    except ValueError as exc:
+        raise UsageError(f"PB4U_THREADS must be an integer, got {threads_text!r}") from exc
     ks = list(range(lo, hi + 1))
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:

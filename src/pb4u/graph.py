@@ -29,7 +29,9 @@ EDGE_FEATURE_DIM = 7
 
 @dataclass
 class SimState:
-    """Time-t positions and velocities; the body's previous positions give its velocity."""
+    """Time-t positions and velocities; the body's previous positions give its
+    velocity. The arrays do not change once the state is built, so
+    ``contacts`` may keep what it computes from them."""
 
     garment_pos: np.ndarray       # (n_g, 3)
     garment_vel: np.ndarray       # (n_g, 3)
@@ -50,6 +52,18 @@ class SimState:
         ):
             if arr.shape != (rows, 3):
                 raise InvalidArgument(f"{name} must have shape ({rows}, 3), got {arr.shape}")
+        self._contacts = None  # not a field, so fields() and replace() leave it out
+
+    def contacts(self, body_mesh: TriMesh, radius: float) -> tuple[np.ndarray, np.ndarray]:
+        """``build_world_edges`` pairs within ``radius`` and the body's vertex
+        normals, kept from the first call; another mesh (matched by identity:
+        TriMesh's __eq__ compares arrays) or radius computes them again."""
+        mesh, kept_radius, pairs, normals = self._contacts or (None, None, None, None)
+        if mesh is not body_mesh or kept_radius != radius:
+            normals = vertex_normals(self.body_pos, body_mesh)
+            pairs = build_world_edges(self.garment_pos, self.body_pos, radius)
+            self._contacts = (body_mesh, radius, pairs, normals)
+        return pairs, normals
 
 
 @dataclass
@@ -67,10 +81,6 @@ class SimGraph:
     @property
     def receivers(self) -> np.ndarray:
         return np.concatenate([self.mesh_edges[:, 1], self.world_edges[:, 1]])
-
-    @property
-    def world_pairs(self) -> np.ndarray:  # (garment, body), as build_world_edges returned them
-        return np.stack([self.world_edges[:, 1], self.world_edges[:, 0] - self.garment_count], axis=1)
 
 
 # classic spatial-hash primes; int64 products wrap, and key collisions only
@@ -146,20 +156,16 @@ def build_world_edges(garment_pos: np.ndarray, body_pos: np.ndarray, radius: flo
     return np.stack([combined // n_b, combined % n_b], axis=1)
 
 
-def vertex_features(state: SimState, garment_mesh: TriMesh, body_mesh: TriMesh) -> np.ndarray:
-    """Feature rows for garment then body vertices. Body velocity is the
-    backward difference of its scripted motion; body mass is zero (kinematic).
-    """
+def vertex_features(state: SimState, garment_mesh: TriMesh, body_normals: np.ndarray) -> np.ndarray:
+    """Feature rows for garment then body vertices, given the body's vertex
+    normals. Body velocity is the backward difference of its scripted
+    motion; body mass is zero (kinematic)."""
     n_g = garment_mesh.vertex_count
     if state.garment_pos.shape[0] != n_g:
         raise InvalidArgument(
             f"state has {state.garment_pos.shape[0]} garment vertices, mesh has {n_g}"
         )
     n_b = state.body_pos.shape[0]
-    if body_mesh.vertex_count != n_b:
-        raise InvalidArgument(
-            f"state has {n_b} body vertices, mesh has {body_mesh.vertex_count}"
-        )
 
     # log1p keeps stiffness-scale parameters (Pa) at O(10) in the features;
     # MaterialParams guarantees nonnegative inputs
@@ -173,7 +179,7 @@ def vertex_features(state: SimState, garment_mesh: TriMesh, body_mesh: TriMesh) 
     out[:n_g, 12] = 1.0
 
     out[n_g:, 0:3] = (state.body_pos - state.body_pos_prev) / state.time_step
-    out[n_g:, 4:7] = vertex_normals(state.body_pos, body_mesh)
+    out[n_g:, 4:7] = body_normals
     out[n_g:, 7:12] = material
     out[n_g:, 13] = 1.0
     return out
@@ -220,11 +226,11 @@ def build_graph(
     once to ``dtype``, the precision the network runs at."""
     n_g = garment_mesh.vertex_count
     mesh_edges = np.concatenate([garment_mesh.edges, garment_mesh.edges[:, ::-1]])
-    pairs = build_world_edges(state.garment_pos, state.body_pos, world_radius)
+    pairs, body_normals = state.contacts(body_mesh, world_radius)
     return SimGraph(
         mesh_edges=mesh_edges,
         world_edges=np.stack([pairs[:, 1] + n_g, pairs[:, 0]], axis=1),
-        vertex_features=vertex_features(state, garment_mesh, body_mesh).astype(dtype, copy=False),
+        vertex_features=vertex_features(state, garment_mesh, body_normals).astype(dtype, copy=False),
         edge_features=np.concatenate([
             edge_features(state.garment_pos, garment_mesh),
             world_edge_features(state.garment_pos, state.body_pos, pairs, world_radius),

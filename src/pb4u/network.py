@@ -264,12 +264,12 @@ def step(
     config: NetworkConfig,
     k_steps: int,
     world_radius: float,
-) -> tuple[Tensor, Tensor, np.ndarray]:
+) -> tuple[Tensor, Tensor]:
     """One simulator step at the precision of ``params``: build graph,
     predict accelerations, integrate forward Euler.
 
     Returns the next garment positions and velocities (Tensors, for a
-    training loss to backpropagate) and ``graph.world_pairs``.
+    training loss to backpropagate).
     """
     dtype = params.dtype
     graph = build_graph(state, garment_mesh, body_mesh, world_radius, dtype=dtype)
@@ -279,4 +279,4 @@ def step(
     pos_next = dc.add(Tensor(state.garment_pos.astype(dtype)), vel_next * dt)
     if not np.all(np.isfinite(pos_next.data)):
         raise NumericDivergence("non-finite positions after integration step")
-    return pos_next, vel_next, graph.world_pairs
+    return pos_next, vel_next

@@ -22,7 +22,7 @@ import numpy as np
 from . import diffcore as dc
 from .diffcore import Tensor
 from .errors import InvalidArgument, InvalidMesh, NumericDivergence
-from .graph import SimState, build_world_edges
+from .graph import SimState, build_world_edges  # noqa: F401  (unused; perfbench's tracer test wants the binding)
 from .mesh import TriMesh
 
 DEFAULT_CONTACT_MARGIN = 2e-3  # meters
@@ -216,13 +216,14 @@ def collision_penalty(
     garment_pos: Tensor,
     body_pos: np.ndarray,
     body_normals: np.ndarray,
-    radius: float,
+    pairs: np.ndarray,
     margin: float = DEFAULT_CONTACT_MARGIN,
 ) -> Tensor:
-    """Cubic penetration penalty: for each garment vertex with a nearby body
-    vertex, d = n_b . (x_g - x_b); contributes max(0, margin - d)^3."""
+    """Cubic penetration penalty: for each garment vertex in the world-edge
+    ``pairs`` of the predicted frame, with x_b its nearest body vertex,
+    d = n_b . (x_g - x_b); contributes max(0, margin - d)^3."""
     positions = np.asarray(garment_pos.data, dtype=np.float64)
-    g_idx, b_idx = nearest_contacts(positions, body_pos, build_world_edges(positions, body_pos, radius))
+    g_idx, b_idx = nearest_contacts(positions, body_pos, pairs)
     dtype = garment_pos.dtype
     if g_idx.shape[0] == 0:
         return Tensor(np.asarray(0.0, dtype))
@@ -285,10 +286,8 @@ def inertia_term(pred_pos: Tensor, state: SimState, masses: np.ndarray) -> Tenso
 def total_loss(
     pred_pos: Tensor,
     state: SimState,
-    pairs: np.ndarray,
-    body_next_pos: np.ndarray,
-    body_next_normals: np.ndarray,
-    body_normals_t: np.ndarray,
+    next_state: SimState,
+    body_mesh: TriMesh,
     mesh: TriMesh,
     rest: RestGeometry,
     weights: LossWeights,
@@ -297,18 +296,21 @@ def total_loss(
     margin: float = DEFAULT_CONTACT_MARGIN,
 ) -> tuple[Tensor, LossBreakdown]:
     """Weighted, per-vertex-normalized sum of the six energies evaluated on a
-    predicted frame, given the world-edge ``pairs`` of the pre-step ``state``.
-    Returns the scalar Tensor (for backward) plus a float snapshot of the
-    individual reported terms."""
+    predicted frame. Friction reads the contacts of the pre-step ``state``,
+    collision those of ``next_state``, the predicted frame's state. Returns
+    the scalar Tensor (for backward) plus a float snapshot of the individual
+    reported terms."""
     n_g = pred_pos.data.shape[0]
     material = mesh.material
+    pairs_t, normals_t = state.contacts(body_mesh, contact_radius)
+    pairs_next, normals_next = next_state.contacts(body_mesh, contact_radius)
     terms = {
         "stretch": stretch_energy(pred_pos, rest, material, mesh.triangles),
         "bending": bending_energy(pred_pos, rest, material),
-        "collision": collision_penalty(pred_pos, body_next_pos, body_next_normals, contact_radius, margin),
+        "collision": collision_penalty(pred_pos, next_state.body_pos, normals_next, pairs_next, margin),
         "gravity": gravity_energy(pred_pos, rest.vertex_masses, gravity),
         "friction": friction_penalty(
-            pred_pos, state, pairs, body_normals_t, rest.vertex_masses, material.friction_coeff, margin
+            pred_pos, state, pairs_t, normals_t, rest.vertex_masses, material.friction_coeff, margin
         ),
         "inertia": inertia_term(pred_pos, state, rest.vertex_masses),
     }

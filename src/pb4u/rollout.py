@@ -16,7 +16,7 @@ from .control import ControlConfig, propagation_steps
 from .diffcore import Tensor
 from .errors import NumericDivergence
 from .graph import SimState
-from .mesh import ScaleFactors, mean_edge_length, rest_scale_factors, vertex_normals, write_obj
+from .mesh import ScaleFactors, mean_edge_length, rest_scale_factors, write_obj
 from .physics import LossBreakdown, LossWeights
 from .scenes import Scene
 
@@ -70,32 +70,27 @@ def advance(
     state: SimState,
     frame: int,
     params: net.ModelParams,
-) -> tuple[SimState, Tensor, np.ndarray]:
+) -> tuple[SimState, Tensor]:
     """One model step from the state at ``frame`` to ``frame + 1``, with
     pinned vertices held at their scripted positions. Returns the next state
-    (float64 master copy), the predicted positions (a Tensor, for a training
-    loss to backpropagate) and the step graph's world-edge pairs."""
+    (float64 master copy) and the predicted positions (a Tensor, for a
+    training loss to backpropagate)."""
     scene = ctx.scene
-    pred, vel, pairs = net.step(
+    pred, vel = net.step(
         state, scene.garment, scene.body_mesh, ctx.scale, params, ctx.config, ctx.k_steps, scene.world_radius
     )
     pred = scene.hold_pins(pred)
     next_state = scene.state_at(frame + 1, pred.data.astype(np.float64), vel.data.astype(np.float64))
-    return next_state, pred, pairs
+    return next_state, pred
 
 
-def frame_loss(ctx: SimContext, pred: Tensor, pre_state: SimState, pairs: np.ndarray, next_state: SimState):
-    """Composite loss of a predicted frame against its pre-step state and its world-edge ``pairs``."""
-    body_mesh = ctx.scene.body_mesh
-    normals_next = vertex_normals(next_state.body_pos, body_mesh)
-    normals_t = vertex_normals(pre_state.body_pos, body_mesh)
+def frame_loss(ctx: SimContext, pred: Tensor, pre_state: SimState, next_state: SimState):
+    """Composite loss of a predicted frame, whose state is ``next_state``, against its pre-step state."""
     return physics.total_loss(
         pred,
         pre_state,
-        pairs,
-        next_state.body_pos,
-        normals_next,
-        normals_t,
+        next_state,
+        ctx.scene.body_mesh,
         ctx.scene.garment,
         ctx.rest,
         ctx.weights,
@@ -130,7 +125,7 @@ def run_rollout(
     for f in range(frames):
         began = time.perf_counter()
         try:
-            next_state, _, pairs = advance(ctx, state, start_frame + f, params)
+            next_state, _ = advance(ctx, state, start_frame + f, params)
         except NumericDivergence:
             result.diverged = True
             result.diverged_at = f
@@ -139,7 +134,7 @@ def run_rollout(
         if compute_losses:
             try:
                 pred64 = Tensor(next_state.garment_pos.copy())
-                _, breakdown = frame_loss(ctx, pred64, state, pairs, next_state)
+                _, breakdown = frame_loss(ctx, pred64, state, next_state)
                 result.losses.append(breakdown)
             except NumericDivergence:
                 result.diverged = True
@@ -157,14 +152,15 @@ def write_rollout_outputs(result: RolloutResult, scene: Scene, out_dir, metrics_
     for f, state in enumerate(result.states):
         write_obj(out / f"frame_{f:04d}.obj", state.garment_pos, scene.garment.triangles)
     if metrics_path is not None:
-        write_metrics_csv(result.losses, metrics_path)
+        write_loss_csv(result.losses, metrics_path, "frame", METRIC_COLUMNS)
 
 
-def write_metrics_csv(losses: list, path) -> None:
-    lines = ["frame," + ",".join(METRIC_COLUMNS)]
-    for f, row in enumerate(losses):
-        values = ",".join(repr(getattr(row, c)) for c in METRIC_COLUMNS)
-        lines.append(f"{f},{values}")
+def write_loss_csv(rows: list, path, index: str, columns: tuple) -> None:
+    """One line per LossBreakdown: its position in ``rows`` under the
+    ``index`` header, then each of ``columns`` as repr (floats round-trip)."""
+    lines = [f"{index}," + ",".join(columns)]
+    for i, row in enumerate(rows):
+        lines.append(f"{i}," + ",".join(repr(getattr(row, c)) for c in columns))
     with open(path, "w", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 

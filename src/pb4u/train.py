@@ -181,8 +181,8 @@ def refresh_buffer(scene: Scene, ctx: SimContext, params, use_model: bool) -> No
     if not use_model:
         scene.buffer = _free_fall_states(scene)
         return
-    result = run_rollout(ctx, params, scene.frames - 1, compute_losses=False)
     frames = [BufferedFrame(0, scene.initial_state())]
+    result = run_rollout(ctx, params, scene.frames - 1, compute_losses=False, start_state=frames[0].state)
     for f, state in enumerate(result.states):
         if not _state_is_sane(scene, state, f + 1):
             break
@@ -249,8 +249,8 @@ def train(config: TrainConfig, scenes: list, diagnostics_dir=None) -> TrainResul
                 loss_tensor = None
                 breakdown = None
                 for k in range(config.rollout_steps):
-                    next_state, pred, pairs = advance(ctx, state, frame + k, params)
-                    step_loss, breakdown = frame_loss(ctx, pred, state, pairs, next_state)
+                    next_state, pred = advance(ctx, state, frame + k, params)
+                    step_loss, breakdown = frame_loss(ctx, pred, state, next_state)
                     loss_tensor = step_loss if loss_tensor is None else dc.add(loss_tensor, step_loss)
                     state = next_state  # gradients do not flow across steps
         except NumericDivergence as exc:
@@ -284,11 +284,3 @@ def _dump_divergence(diagnostics_dir, iteration: int, entry: BufferedFrame, scen
     }
     with open(out / f"diverged_iter{iteration:06d}.json", "w") as fh:
         json.dump(info, fh, indent=2, sort_keys=True)
-
-
-def write_train_log(log: list, path) -> None:
-    lines = ["iter," + ",".join(TRAIN_LOG_COLUMNS)]
-    for i, row in enumerate(log):
-        lines.append(f"{i}," + ",".join(repr(getattr(row, c)) for c in TRAIN_LOG_COLUMNS))
-    with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")

@@ -15,7 +15,7 @@ import numpy as np
 from . import physics
 from .diffcore import Tensor, grad_check
 from .graph import SimState, build_world_edges
-from .mesh import MaterialParams, TriMesh, make_grid_cloth, vertex_normals
+from .mesh import MaterialParams, TriMesh, make_grid_cloth
 
 PROBE_MATERIAL = MaterialParams(
     lame_mu=3.0, lame_lambda=2.0, bending_coeff=0.5, mass_density=0.4, friction_coeff=0.6
@@ -30,7 +30,6 @@ class ProbeScene:
     rest: physics.RestGeometry
     state: SimState
     body_mesh: TriMesh
-    body_normals: np.ndarray
     pred: np.ndarray
     radius: float
     margin: float
@@ -61,7 +60,6 @@ def make_probe_scene(seed: int) -> ProbeScene:
         rest=rest,
         state=state,
         body_mesh=body_mesh,
-        body_normals=vertex_normals(body_pos, body_mesh),
         pred=pred,
         radius=0.2,
         margin=0.004,
@@ -74,17 +72,17 @@ def energy_gradchecks(seed: int, h: float = 1e-6) -> dict[str, float]:
     respect to the predicted positions."""
     scene = make_probe_scene(seed)
     mesh, rest, state = scene.mesh, scene.rest, scene.state
-    pairs = build_world_edges(state.garment_pos, state.body_pos, scene.radius)
+    pairs, normals = state.contacts(scene.body_mesh, scene.radius)
+    # the unperturbed prediction's contacts, held fixed across the probes
+    pred_pairs = build_world_edges(scene.pred, state.body_pos, scene.radius)
 
     functions = {
         "stretch": lambda p: physics.stretch_energy(p, rest, mesh.material, mesh.triangles),
         "bending": lambda p: physics.bending_energy(p, rest, mesh.material),
-        "collision": lambda p: physics.collision_penalty(
-            p, state.body_pos, scene.body_normals, scene.radius, scene.margin
-        ),
+        "collision": lambda p: physics.collision_penalty(p, state.body_pos, normals, pred_pairs, scene.margin),
         "gravity": lambda p: physics.gravity_energy(p, rest.vertex_masses, scene.gravity),
         "friction": lambda p: physics.friction_penalty(
-            p, state, pairs, scene.body_normals, rest.vertex_masses, mesh.material.friction_coeff, scene.margin
+            p, state, pairs, normals, rest.vertex_masses, mesh.material.friction_coeff, scene.margin
         ),
         "inertia": lambda p: physics.inertia_term(p, state, rest.vertex_masses),
     }

@@ -38,7 +38,6 @@ from pb4u.mesh import (
     mean_edge_length,
     rest_scale_factors,
     subdivide_midpoint,
-    vertex_normals,
     write_obj,
 )
 from pb4u.rollout import SimContext, frame_loss, run_rollout, write_rollout_outputs
@@ -208,10 +207,10 @@ def test_criterion_05_translation_invariance(workspace):
         body_pos_prev=state.body_pos_prev + shift,
         time_step=state.time_step,
     )
-    base_pos, base_vel, _ = net.step(state, scene.garment, scene.body_mesh, scale, params, config, 8,
-                                     scene.world_radius)
-    trans_pos, trans_vel, _ = net.step(moved, scene.garment, scene.body_mesh, scale, params, config, 8,
-                                       scene.world_radius)
+    base_pos, base_vel = net.step(state, scene.garment, scene.body_mesh, scale, params, config, 8,
+                                  scene.world_radius)
+    trans_pos, trans_vel = net.step(moved, scene.garment, scene.body_mesh, scale, params, config, 8,
+                                    scene.world_radius)
     accel_base = (base_vel.data - state.garment_vel) / state.time_step
     accel_trans = (trans_vel.data - moved.garment_vel) / state.time_step
     assert np.max(np.abs(accel_trans - accel_base)) <= 1e-6
@@ -251,10 +250,8 @@ def test_criterion_07_physics_zero_and_reference_cases():
         body_pos_prev=body_pos.copy(),
         time_step=0.02,
     )
-    normals = vertex_normals(body_pos, body)
     _, breakdown = physics.total_loss(
-        Tensor(state.garment_pos.copy()), state, build_world_edges(state.garment_pos, body_pos, 0.05),
-        body_pos, normals, normals,
+        Tensor(state.garment_pos.copy()), state, state, body,
         mesh, rest, physics.LossWeights(), gravity=9.81, contact_radius=0.05,
     )
     for name, value in breakdown.as_dict().items():
@@ -275,7 +272,7 @@ def test_criterion_07_physics_zero_and_reference_cases():
         Tensor(np.array([[0.0, -1e-3, 0.0]])),
         np.array([[0.0, 0.0, 0.0]]),
         np.array([[0.0, 1.0, 0.0]]),
-        radius=0.2,
+        build_world_edges(np.array([[0.0, -1e-3, 0.0]]), np.array([[0.0, 0.0, 0.0]]), 0.2),
         margin=1e-3,
     )
     assert penalty.item() == (2e-3) * (2e-3) * (2e-3)
@@ -301,8 +298,8 @@ def _probe_mean_total(scene_path, params, config: TrainConfig) -> float:
     refresh_buffer(scene, ctx, params, use_model=False)
     totals = []
     for entry in scene.buffer[:: max(1, len(scene.buffer) // 16)]:
-        next_state, _, pairs = advance(ctx, entry.state, entry.frame, params)
-        _, breakdown = frame_loss(ctx, Tensor(next_state.garment_pos.copy()), entry.state, pairs, next_state)
+        next_state, _ = advance(ctx, entry.state, entry.frame, params)
+        _, breakdown = frame_loss(ctx, Tensor(next_state.garment_pos.copy()), entry.state, next_state)
         totals.append(breakdown.total)
     return float(np.mean(totals))
 

@@ -179,6 +179,17 @@ def test_sweep_k_thread_cap_is_deterministic(workdir, tmp_path, monkeypatch):
     assert serial.read_text() == threaded.read_text()
 
 
+def test_sweep_k_non_integer_thread_count_is_usage_error(workdir, tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("PB4U_THREADS", "abc")
+    out = tmp_path / "sweep.csv"
+    rc = main(["sweep-k", "--ckpt", str(workdir / "model.ckpt"), "--scene", str(workdir / "scene.json"),
+               "--frames", "1", "--k-range", "1:2", "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and "PB4U_THREADS" in err and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_eval_report_contract(workdir, tmp_path):
     report_path = tmp_path / "report.json"
     rc = main(["eval", "--ckpt", str(workdir / "model.ckpt"), "--scene", str(workdir / "scene.json"),
@@ -368,6 +379,25 @@ def test_eval_checkpoint_width_mismatch_is_format_error(workdir, tmp_path, capsy
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and repr(named) in err and err.count("\n") == 1
+    assert not (tmp_path / "report.json").exists()
+
+
+# nan and inf escaped as tracebacks; gamma nan, k_base 0, gamma 1.5 and
+# l_base 0 exited 1 as invalid input; k_base 2.5 was truncated to 2
+@pytest.mark.parametrize("key, value", [
+    ("gamma", float("nan")), ("gamma", 1.5),
+    ("k_base", float("nan")), ("k_base", 0.0), ("k_base", 2.5),
+    ("l_base", float("nan")), ("l_base", float("inf")), ("l_base", 0.0),
+])
+def test_eval_bad_checkpoint_meta_is_format_error(workdir, tmp_path, capsys, key, value):
+    params, meta = pio.load_checkpoint(workdir / "model.ckpt")
+    bad = tmp_path / "bad.ckpt"
+    pio.save_checkpoint(params, bad, meta={**meta, key: value})
+    rc = main(["eval", "--ckpt", str(bad), "--scene", str(workdir / "scene.json"),
+               "--frames", "1", "--report", str(tmp_path / "report.json")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"meta.{key}" in err and err.count("\n") == 1
     assert not (tmp_path / "report.json").exists()
 
 

@@ -274,8 +274,8 @@ def _network_step_gradients():
     state = scene.initial_state()
     tape = dc.Tape()
     with dc.recording(tape):
-        next_state, pred, pairs = advance(ctx, state, 0, params)
-        loss, _ = frame_loss(ctx, pred, state, pairs, next_state)
+        next_state, pred = advance(ctx, state, 0, params)
+        loss, _ = frame_loss(ctx, pred, state, next_state)
     tape.backward(loss)
     return {k: t.grad for k, t in params.named_tensors().items()}, len(tape.nodes)
 

@@ -79,7 +79,7 @@ def far_state(garment_mesh):
 def test_vertex_features_rest_grid():
     grid = m.make_grid_cloth(3, 1.0, MAT)
     body, state = far_state(grid)
-    feats = g.vertex_features(state, grid, body)
+    feats = g.vertex_features(state, grid, m.vertex_normals(state.body_pos, body))
     assert feats.shape == (9 + 4, g.VERTEX_FEATURE_DIM)
     feats = feats[:9]
     assert np.all(feats[:, 0:3] == 0.0)          # zero velocity
@@ -91,7 +91,7 @@ def test_vertex_features_rest_grid():
 def test_vertex_mass_matches_per_face_area_oracle():
     grid = m.make_grid_cloth(3, 1.0, MAT)
     body, state = far_state(grid)
-    feats = g.vertex_features(state, grid, body)
+    feats = g.vertex_features(state, grid, m.vertex_normals(state.body_pos, body))
     center = 4  # interior vertex of the 3x3 grid
     area_sum = 0.0
     for tri in grid.triangles:
@@ -114,8 +114,8 @@ def test_features_translation_invariant():
         body_pos_prev=state.body_pos_prev + shift,
         time_step=state.time_step,
     )
-    base = g.vertex_features(state, grid, body)
-    trans = g.vertex_features(moved, grid, body)
+    base = g.vertex_features(state, grid, m.vertex_normals(state.body_pos, body))
+    trans = g.vertex_features(moved, grid, m.vertex_normals(moved.body_pos, body))
     # velocities are stored, normals are direction-only: exact invariance
     assert np.allclose(trans, base, atol=1e-12)
     assert np.array_equal(trans[:, 0:3], base[:, 0:3])
@@ -195,8 +195,8 @@ def test_feature_width_constant_across_resolution():
     fine = m.subdivide_midpoint(grid)
     body, s1 = far_state(grid)
     _, s2 = far_state(fine)
-    f1 = g.vertex_features(s1, grid, body)
-    f2 = g.vertex_features(s2, fine, body)
+    f1 = g.vertex_features(s1, grid, m.vertex_normals(s1.body_pos, body))
+    f2 = g.vertex_features(s2, fine, m.vertex_normals(s2.body_pos, body))
     assert f1.shape[1] == f2.shape[1] == g.VERTEX_FEATURE_DIM
 
 

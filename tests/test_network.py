@@ -287,11 +287,11 @@ def test_step_statics_and_drift_with_zero_decoder():
     for b in params.decoder.biases:
         b.data[:] = 0.0
     scale = rest_scale_factors(grid)
-    pos, _, _ = net.step(state, grid, body, scale, params, CFG, 2, 0.3)
+    pos, _ = net.step(state, grid, body, scale, params, CFG, 2, 0.3)
     assert np.array_equal(pos.data, state.garment_pos)
 
     state.garment_vel[:] = [0.1, 0.0, -0.2]
-    pos, _, _ = net.step(state, grid, body, scale, params, CFG, 2, 0.3)
+    pos, _ = net.step(state, grid, body, scale, params, CFG, 2, 0.3)
     assert np.allclose(pos.data, state.garment_pos + 0.02 * np.array([0.1, 0.0, -0.2]), atol=1e-15)
 
 
@@ -300,8 +300,8 @@ def test_step_deterministic_replay():
     body, state = drape_state(grid)
     params = net.init_params(CFG, seed=10, dtype=np.float64)
     scale = rest_scale_factors(grid)
-    a_pos, a_vel, _ = net.step(state, grid, body, scale, params, CFG, 3, 0.3)
-    b_pos, b_vel, _ = net.step(state, grid, body, scale, params, CFG, 3, 0.3)
+    a_pos, a_vel = net.step(state, grid, body, scale, params, CFG, 3, 0.3)
+    b_pos, b_vel = net.step(state, grid, body, scale, params, CFG, 3, 0.3)
     assert np.array_equal(a_pos.data, b_pos.data)
     assert np.array_equal(a_vel.data, b_vel.data)
 
@@ -319,8 +319,8 @@ def test_step_translation_equivariance():
         body_pos_prev=state.body_pos_prev + shift,
         time_step=state.time_step,
     )
-    base_pos, base_vel, _ = net.step(state, grid, body, scale, params, CFG, 3, 0.3)
-    trans_pos, trans_vel, _ = net.step(moved, grid, body, scale, params, CFG, 3, 0.3)
+    base_pos, base_vel = net.step(state, grid, body, scale, params, CFG, 3, 0.3)
+    trans_pos, trans_vel = net.step(moved, grid, body, scale, params, CFG, 3, 0.3)
     accel_base = (base_vel.data - state.garment_vel) / state.time_step
     accel_trans = (trans_vel.data - moved.garment_vel) / state.time_step
     assert np.max(np.abs(accel_trans - accel_base)) <= 1e-6
@@ -331,7 +331,7 @@ def test_full_step_permutation_equivariance():
     grid = make_grid_cloth(3, 1.0, MAT)
     body, state = drape_state(grid)
     params = net.init_params(CFG, seed=14, dtype=np.float64)
-    base_pos, base_vel, _ = net.step(state, grid, body, rest_scale_factors(grid), params, CFG, 2, 0.3)
+    base_pos, base_vel = net.step(state, grid, body, rest_scale_factors(grid), params, CFG, 2, 0.3)
 
     perm = np.random.default_rng(6).permutation(grid.vertex_count)
     inverse = np.argsort(perm)
@@ -346,7 +346,7 @@ def test_full_step_permutation_equivariance():
         body_pos_prev=state.body_pos_prev,
         time_step=state.time_step,
     )
-    permuted_pos, permuted_vel, _ = net.step(state_p, relabeled, body, rest_scale_factors(relabeled), params,
+    permuted_pos, permuted_vel = net.step(state_p, relabeled, body, rest_scale_factors(relabeled), params,
                                              CFG, 2, 0.3)
     # edge orderings change under relabeling, so sums agree to rounding only
     assert np.allclose(permuted_pos.data, base_pos.data[perm], atol=1e-9)
@@ -371,13 +371,15 @@ def test_advance_steps_at_the_parameters_precision(dtype):
     params = net.init_params(CFG, seed=15, dtype=dtype)
     state = scene.initial_state()
     state.garment_pos[:, 1] += scene.body_positions(0)[:, 1].max() + 1e-3   # just above the sphere's pole
-    next_state, pred, pairs = advance(ctx, state, 0, params)
+    next_state, pred = advance(ctx, state, 0, params)
 
     graph = build_graph(state, scene.garment, scene.body_mesh, scene.world_radius, dtype=dtype)
     accel = net.forward_accelerations(graph, ctx.scale, params, CFG, ctx.k_steps).data
     vel = state.garment_vel.astype(dtype) + accel * dtype(state.time_step)
     pos = state.garment_pos.astype(dtype) + vel * dtype(state.time_step)
-    assert pairs.shape[0] > 0 and np.array_equal(pairs, graph.world_pairs)
+    pairs = state.contacts(scene.body_mesh, scene.world_radius)[0]
+    assert pairs.shape[0] > 0
+    assert np.array_equal(graph.world_edges, np.stack([pairs[:, 1] + scene.garment.vertex_count, pairs[:, 0]], axis=1))
     assert pred.dtype == dtype and np.array_equal(pred.data, pos)
     assert np.array_equal(next_state.garment_vel, vel.astype(np.float64))
 

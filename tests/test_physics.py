@@ -1,6 +1,8 @@
 """Energy terms: closed-form cases, invariances, and finite-difference
 gradient checks."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -96,7 +98,7 @@ def test_collision_inactive_outside_margin():
     garment = Tensor(np.array([[0.0, 0.05, 0.0]]))
     body = np.array([[0.0, 0.0, 0.0]])
     normals = np.array([[0.0, 1.0, 0.0]])
-    e = physics.collision_penalty(garment, body, normals, radius=0.2, margin=1e-3)
+    e = physics.collision_penalty(garment, body, normals, build_world_edges(garment.data, body, 0.2), margin=1e-3)
     assert e.item() == 0.0
 
 
@@ -104,7 +106,7 @@ def test_collision_single_pair_closed_form():
     garment = Tensor(np.array([[0.0, -1e-3, 0.0]]))
     body = np.array([[0.0, 0.0, 0.0]])
     normals = np.array([[0.0, 1.0, 0.0]])
-    e = physics.collision_penalty(garment, body, normals, radius=0.2, margin=1e-3)
+    e = physics.collision_penalty(garment, body, normals, build_world_edges(garment.data, body, 0.2), margin=1e-3)
     assert abs(e.item() - 8e-9) < 1e-22
     assert e.item() == (2e-3) * (2e-3) * (2e-3)
 
@@ -115,7 +117,8 @@ def test_collision_monotone_with_depth():
     last = -1.0
     for depth in np.linspace(0.0, 0.05, 20):
         garment = Tensor(np.array([[0.0, -depth, 0.0]]))
-        e = physics.collision_penalty(garment, body, normals, radius=0.2, margin=2e-3).item()
+        pairs = build_world_edges(garment.data, body, 0.2)
+        e = physics.collision_penalty(garment, body, normals, pairs, margin=2e-3).item()
         assert e >= last
         last = e
 
@@ -127,7 +130,8 @@ def test_collision_matches_brute_force_nearest():
     normals = r.normal(size=(15, 3))
     normals /= np.linalg.norm(normals, axis=1, keepdims=True)
     radius, margin = 0.15, 0.02
-    e = physics.collision_penalty(Tensor(garment.copy()), body, normals, radius, margin).item()
+    pairs = build_world_edges(garment, body, radius)
+    e = physics.collision_penalty(Tensor(garment.copy()), body, normals, pairs, margin).item()
     expected = 0.0
     for i, xg in enumerate(garment):
         dists = np.linalg.norm(body - xg, axis=1)
@@ -170,6 +174,12 @@ def contact_state(dt=0.02):
 def _pairs(state, radius):
     """The world-edge pairs of a pre-step state, as its graph build finds them."""
     return build_world_edges(state.garment_pos, state.body_pos, radius)
+
+
+def _probe_frame(scene):
+    """The state of the probe's predicted frame: the prediction, with the
+    body where the pre-step state has it."""
+    return dataclasses.replace(scene.state, garment_pos=scene.pred)
 
 
 def test_friction_zero_without_contacts():
@@ -246,12 +256,15 @@ def test_translation_invariance_of_non_gravity_terms():
         time_step=scene.state.time_step,
     )
     mesh, rest = scene.mesh, scene.rest
+    normals = vertex_normals(scene.state.body_pos, scene.body_mesh)
     for build in (
         lambda p, st: physics.stretch_energy(p, rest, mesh.material, mesh.triangles),
         lambda p, st: physics.bending_energy(p, rest, mesh.material),
-        lambda p, st: physics.collision_penalty(p, st.body_pos, scene.body_normals, scene.radius, scene.margin),
+        lambda p, st: physics.collision_penalty(
+            p, st.body_pos, normals, build_world_edges(p.data, st.body_pos, scene.radius), scene.margin
+        ),
         lambda p, st: physics.friction_penalty(
-            p, st, _pairs(st, scene.radius), scene.body_normals, rest.vertex_masses, mesh.material.friction_coeff,
+            p, st, _pairs(st, scene.radius), normals, rest.vertex_masses, mesh.material.friction_coeff,
             scene.margin,
         ),
         lambda p, st: physics.inertia_term(p, st, rest.vertex_masses),
@@ -299,14 +312,13 @@ def rest_scene_at_origin():
         body_pos_prev=body_pos.copy(),
         time_step=0.02,
     )
-    normals = vertex_normals(body_pos, body_mesh)
-    return mesh, rest, state, body_pos, normals
+    return mesh, rest, state, body_mesh
 
 
 def test_total_loss_all_zero_at_rest():
-    mesh, rest, state, body_pos, normals = rest_scene_at_origin()
+    mesh, rest, state, body_mesh = rest_scene_at_origin()
     total, breakdown = physics.total_loss(
-        Tensor(state.garment_pos.copy()), state, _pairs(state, 0.05), body_pos, normals, normals,
+        Tensor(state.garment_pos.copy()), state, state, body_mesh,
         mesh, rest, physics.LossWeights(), gravity=9.81, contact_radius=0.05,
     )
     assert total.item() == 0.0
@@ -317,8 +329,7 @@ def test_total_loss_all_zero_at_rest():
 def test_total_equals_sum_of_reported_terms_exactly():
     scene = validate.make_probe_scene(21)
     total, breakdown = physics.total_loss(
-        Tensor(scene.pred.copy()), scene.state, _pairs(scene.state, scene.radius), scene.state.body_pos,
-        scene.body_normals, scene.body_normals, scene.mesh, scene.rest,
+        Tensor(scene.pred.copy()), scene.state, _probe_frame(scene), scene.body_mesh, scene.mesh, scene.rest,
         physics.LossWeights(), gravity=scene.gravity, contact_radius=scene.radius,
         margin=scene.margin,
     )
@@ -333,13 +344,11 @@ def test_total_loss_weighted_sum():
     scene = validate.make_probe_scene(22)
     weights = physics.LossWeights(stretch=2.0, bending=0.5, collision=3.0, gravity=1.5, friction=0.25, inertia=4.0)
     _, weighted = physics.total_loss(
-        Tensor(scene.pred.copy()), scene.state, _pairs(scene.state, scene.radius), scene.state.body_pos,
-        scene.body_normals, scene.body_normals, scene.mesh, scene.rest,
+        Tensor(scene.pred.copy()), scene.state, _probe_frame(scene), scene.body_mesh, scene.mesh, scene.rest,
         weights, gravity=scene.gravity, contact_radius=scene.radius, margin=scene.margin,
     )
     _, plain = physics.total_loss(
-        Tensor(scene.pred.copy()), scene.state, _pairs(scene.state, scene.radius), scene.state.body_pos,
-        scene.body_normals, scene.body_normals, scene.mesh, scene.rest,
+        Tensor(scene.pred.copy()), scene.state, _probe_frame(scene), scene.body_mesh, scene.mesh, scene.rest,
         physics.LossWeights(), gravity=scene.gravity, contact_radius=scene.radius, margin=scene.margin,
     )
     for name, w in (("stretch", 2.0), ("bending", 0.5), ("collision", 3.0), ("gravity", 1.5), ("friction", 0.25), ("inertia", 4.0)):
