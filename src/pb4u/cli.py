@@ -52,14 +52,9 @@ class _Parser(argparse.ArgumentParser):
 
 def _build_parser() -> _Parser:
     parser = _Parser(prog="pb4u", description="Neural cloth simulation engine")
-    seed_parent = _Parser(add_help=False)
-    seed_parent.add_argument("--seed", type=int, default=None, help="seed for commands with randomness")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_parser(name, **kwargs):
-        return sub.add_parser(name, parents=[seed_parent], **kwargs)
-
-    p = add_parser("gen-scene", help="write a deterministic procedural scene file")
+    p = sub.add_parser("gen-scene", help="write a deterministic procedural scene file")
     p.add_argument("--preset", required=True, choices=sorted(PRESETS))
     p.add_argument("--grid", type=int, required=True, help="garment grid resolution n (n x n vertices)")
     p.add_argument("--out", required=True)
@@ -67,30 +62,32 @@ def _build_parser() -> _Parser:
     p.add_argument("--frames", type=int, default=48)
     p.add_argument("--dt", type=float, default=0.02)
 
-    p = add_parser("train", help="train from a config file, write checkpoint + log CSV")
+    p = sub.add_parser("train", help="train from a config file, write checkpoint + log CSV")
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True, help="checkpoint path")
     p.add_argument("--log", default=None, help="training log CSV (default: <out>.log.csv)")
+    p.add_argument("--seed", type=int, default=None, help="override the config's seed")
 
-    p = add_parser("rollout", help="autoregressive rollout to OBJ frames + metrics CSV")
+    p = sub.add_parser("rollout", help="autoregressive rollout to OBJ frames + metrics CSV")
     _rollout_flags(p)
     p.add_argument("--out-dir", required=True)
     p.add_argument("--metrics", required=True)
 
-    p = add_parser("eval", help="rollout and write an aggregate evaluation report")
+    p = sub.add_parser("eval", help="rollout and write an aggregate evaluation report")
     _rollout_flags(p)
     p.add_argument("--report", required=True)
 
-    p = add_parser("sweep-k", help="evaluate a range of forced propagation depths")
+    p = sub.add_parser("sweep-k", help="evaluate a range of forced propagation depths")
     p.add_argument("--ckpt", required=True)
     p.add_argument("--scene", required=True)
     p.add_argument("--k-range", required=True, help="A:B inclusive")
     p.add_argument("--frames", type=_frame_count, default=10)
     p.add_argument("--out", required=True)
 
-    p = add_parser("gradcheck", help="finite-difference check of every energy gradient")
+    p = sub.add_parser("gradcheck", help="finite-difference check of every energy gradient")
+    p.add_argument("--seed", type=int, default=0, help="seed of the random probe scene")
 
-    p = add_parser("subdivide", help="midpoint-subdivide an OBJ mesh")
+    p = sub.add_parser("subdivide", help="midpoint-subdivide an OBJ mesh")
     p.add_argument("--in", dest="in_path", required=True)
     p.add_argument("--levels", type=int, required=True)
     p.add_argument("--out", required=True)
@@ -155,10 +152,10 @@ def _cmd_gen_scene(args) -> int:
     return 0
 
 
-def _cmd_train(args, seed_override) -> int:
+def _cmd_train(args) -> int:
     config = pio.load_train_config(args.config)
-    if seed_override is not None:
-        config = dataclasses.replace(config, seed=seed_override)
+    if args.seed is not None:
+        config = dataclasses.replace(config, seed=args.seed)
     scenes = [pio.load_scene(p) for p in config.scenes]
     result = train(config, scenes, diagnostics_dir=Path(args.out).parent)
     pio.save_checkpoint(result.params, args.out, meta=result.checkpoint_meta())
@@ -275,7 +272,7 @@ def main(argv=None) -> int:
         if args.command == "gen-scene":
             return _cmd_gen_scene(args)
         if args.command == "train":
-            return _cmd_train(args, args.seed)
+            return _cmd_train(args)
         if args.command == "rollout":
             return _cmd_rollout(args)
         if args.command == "eval":
@@ -283,7 +280,7 @@ def main(argv=None) -> int:
         if args.command == "sweep-k":
             return _cmd_sweep_k(args)
         if args.command == "gradcheck":
-            return _cmd_gradcheck(args.seed if args.seed is not None else 0)
+            return _cmd_gradcheck(args.seed)
         if args.command == "subdivide":
             return _cmd_subdivide(args)
         raise UsageError(f"unknown command {args.command!r}")

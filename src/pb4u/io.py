@@ -30,7 +30,7 @@ from .errors import ConfigMismatch, FormatError, InvalidArgument, InvalidMesh, I
 from .mesh import MaterialParams, load_obj_mesh, make_grid_cloth
 from .network import Mlp, ModelParams, ProcessorBlock
 from .diffcore import Tensor
-from .physics import DEFAULT_CONTACT_MARGIN, LossWeights
+from .physics import DEFAULT_CONTACT_MARGIN, LOSS_TERMS, LossWeights
 from .scenes import DEFAULT_BODY_LAT, DEFAULT_BODY_LON, BodySpec, Scene, build_scene
 
 MAGIC = b"PB4UCKPT"
@@ -393,9 +393,8 @@ def load_train_config(path):
              and all(isinstance(p, str) for p in doc["scenes"]),
              "training config needs a non-empty list of scene paths")
     weights_doc = doc.get("weights", {})
-    _require(isinstance(weights_doc, dict) and set(weights_doc) <= {
-        "stretch", "bending", "collision", "gravity", "friction", "inertia"},
-        "weights must map loss-term names to floats")
+    _require(isinstance(weights_doc, dict) and set(weights_doc) <= set(LOSS_TERMS),
+             "weights must map loss-term names to floats")
     base = Path(path).parent
     scene_paths = [str(p) if Path(p).is_absolute() else str(base / p) for p in doc["scenes"]]
     kwargs = {k: doc[k] for k in doc if k not in ("scenes", "weights")}

@@ -89,13 +89,17 @@ class TriMesh:
         unused = np.flatnonzero(np.bincount(triangles.ravel(), minlength=n) == 0)
         if unused.size:
             raise InvalidMesh(f"vertex {unused[0]} is used by no triangle ({unused.size} such vertices)")
-        a = rest_positions[triangles[:, 1]] - rest_positions[triangles[:, 0]]
-        b = rest_positions[triangles[:, 2]] - rest_positions[triangles[:, 0]]
-        areas = 0.5 * np.linalg.norm(np.cross(a, b), axis=1)
-        if not np.all(areas > _MIN_AREA):  # an overflowed cross product gives nan
+        # huge finite coordinates overflow here; the checks below reject the result
+        with np.errstate(over="ignore", invalid="ignore"):
+            a = rest_positions[triangles[:, 1]] - rest_positions[triangles[:, 0]]
+            b = rest_positions[triangles[:, 2]] - rest_positions[triangles[:, 0]]
+            areas = 0.5 * np.linalg.norm(np.cross(a, b), axis=1)
+        if not np.all(areas > _MIN_AREA):  # collinear overflowed sides give inf - inf = nan
             raise InvalidMesh("degenerate triangle (zero rest area)")
         # each vertex sums its corners column by column: all first corners, then second, then third
         lumped = segment_sum(np.tile(areas / 3.0, 3), triangles.T.ravel(), n)
+        if not np.all(np.isfinite(lumped)):  # an overflowed area is inf, and so is its vertices' sum
+            raise InvalidMesh("rest triangle area overflows float64")
         # the one place that decides which undirected edge a triangle side is
         sides = triangles[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
         lo, hi = np.sort(sides, axis=1).T
@@ -110,9 +114,10 @@ class TriMesh:
         direction = np.where(sides[:, 0] < sides[:, 1], 1, -1)
         if np.any(np.bincount(side_edge, weights=direction)[owners == 2] != 0):
             raise InvalidMesh("inconsistent triangle winding across a shared edge")
-        lengths = np.linalg.norm(
-            rest_positions[edges[:, 1]] - rest_positions[edges[:, 0]], axis=1
-        )
+        with np.errstate(over="ignore"):
+            lengths = np.linalg.norm(rest_positions[edges[:, 1]] - rest_positions[edges[:, 0]], axis=1)
+        if not np.all(np.isfinite(lengths)):
+            raise InvalidMesh("rest edge length overflows float64")
         if np.any(lengths <= 0):
             raise InvalidMesh("zero-length rest edge")
         return cls(rest_positions, triangles, edges, lengths, triangle_edges, areas, lumped, material)

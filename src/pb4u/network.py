@@ -117,13 +117,7 @@ def _init_mlp(rng: np.random.Generator, dims: list, dtype) -> Mlp:
     return Mlp(weights, biases)
 
 
-def init_params(
-    config: NetworkConfig,
-    seed: int = 0,
-    vertex_dim: int = VERTEX_FEATURE_DIM,
-    edge_dim: int = EDGE_FEATURE_DIM,
-    dtype=np.float32,
-) -> ModelParams:
+def init_params(config: NetworkConfig, seed: int = 0, dtype=np.float32) -> ModelParams:
     rng = np.random.default_rng(seed)
     d = config.latent_dim
     hidden = [d, d]
@@ -136,8 +130,8 @@ def init_params(
             )
         )
     return ModelParams(
-        vertex_encoder=_init_mlp(rng, [vertex_dim] + hidden + [d], dtype),
-        edge_encoder=_init_mlp(rng, [edge_dim] + hidden + [d], dtype),
+        vertex_encoder=_init_mlp(rng, [VERTEX_FEATURE_DIM] + hidden + [d], dtype),
+        edge_encoder=_init_mlp(rng, [EDGE_FEATURE_DIM] + hidden + [d], dtype),
         message_fn=_init_mlp(rng, [3 * d] + hidden + [d], dtype),
         update_fn=_init_mlp(rng, [2 * d] + hidden + [d], dtype),
         blocks=blocks,
@@ -208,36 +202,30 @@ def propagate(latent: LatentGraph, k_steps: int, gamma: float, params: ModelPara
 
 
 def update(latent: LatentGraph, h_garment: Tensor, params: ModelParams) -> Tensor:
-    """One collective fuse of original and propagated garment features; body
-    rows stay V's."""
-    n_g = latent.garment_count
-    n_total = latent.V.data.shape[0]
-    v_garment = dc.gather(latent.V, np.arange(n_g))
-    fused = params.update_fn(dc.concat([v_garment, h_garment], axis=1))
-    return dc.concat([fused, dc.gather(latent.V, np.arange(n_g, n_total))], axis=0)
+    """One collective fuse of original and propagated garment features."""
+    v_garment = dc.gather(latent.V, np.arange(latent.garment_count))
+    return params.update_fn(dc.concat([v_garment, h_garment], axis=1))
 
 
 def process(latent: LatentGraph, v: Tensor, params: ModelParams) -> Tensor:
-    """Residual edge/vertex refinement blocks; depth 0 is the identity."""
+    """Residual edge/vertex refinement blocks over the garment rows ``v``;
+    body rows stay V's and only send. Depth 0 is the identity."""
     n_g = latent.garment_count
-    n_total = v.data.shape[0]
+    v_body = dc.gather(latent.V, np.arange(n_g, latent.V.data.shape[0]))
     e = latent.E
     for block in params.blocks:
         v_dst = dc.gather(v, latent.receivers)
-        v_src = dc.gather(v, latent.senders)
+        v_src = dc.gather(dc.concat([v, v_body], axis=0), latent.senders)
         e = dc.add(e, block.edge_mlp(dc.concat([e, v_dst, v_src], axis=1)))
         incoming = dc.scatter_add(e, latent.receivers, n_g)
-        v_garment = dc.gather(v, np.arange(n_g))
-        v_garment = dc.add(v_garment, block.vertex_mlp(dc.concat([v_garment, incoming], axis=1)))
-        v = dc.concat([v_garment, dc.gather(v, np.arange(n_g, n_total))], axis=0)
+        v = dc.add(v, block.vertex_mlp(dc.concat([v, incoming], axis=1)))
     return v
 
 
 def decode_and_scale(v: Tensor, scale: ScaleFactors, params: ModelParams) -> Tensor:
     """Per-garment-vertex acceleration: s_i * decoder(v_i''). Pass unit scale
     factors to disable the resolution-aware scaling."""
-    n_g = scale.s.shape[0]
-    raw = params.decoder(dc.gather(v, np.arange(n_g)))
+    raw = params.decoder(v)
     return dc.scale_rows(raw, Tensor(scale.s.astype(raw.dtype)))
 
 

@@ -27,7 +27,8 @@ from .mesh import TriMesh
 
 DEFAULT_CONTACT_MARGIN = 2e-3  # meters
 
-_FIELDS = ("stretch", "bending", "collision", "gravity", "friction", "inertia")
+# the six loss terms, in the order the train log and LossBreakdown list them
+LOSS_TERMS = ("stretch", "bending", "collision", "gravity", "friction", "inertia")
 
 
 @dataclass(frozen=True)
@@ -40,7 +41,7 @@ class LossWeights:
     inertia: float = 1.0
 
     def __post_init__(self):
-        for name in _FIELDS:
+        for name in LOSS_TERMS:
             value = getattr(self, name)
             finite = not isinstance(value, bool) and isinstance(value, numbers.Real) and math.isfinite(value)
             if not finite or value < 0:
@@ -58,7 +59,7 @@ class LossBreakdown:
     total: float
 
     def as_dict(self) -> dict[str, float]:
-        return {name: getattr(self, name) for name in _FIELDS + ("total",)}
+        return {name: getattr(self, name) for name in LOSS_TERMS + ("total",)}
 
 
 @dataclass(frozen=True)
@@ -317,7 +318,7 @@ def total_loss(
     total = None
     reported = {}
     reported_total = 0.0
-    for name in _FIELDS:
+    for name in LOSS_TERMS:
         factor = getattr(weights, name) / float(n_g)
         scaled = dc.mul(terms[name], Tensor(np.asarray(factor, pred_pos.dtype)))
         reported[name] = float(scaled.data)

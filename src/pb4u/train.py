@@ -24,11 +24,11 @@ from .control import ControlConfig, calibrate
 from .errors import InvalidArgument, NumericDivergence
 from .graph import SimState
 from .mesh import mean_edge_length, write_obj
-from .physics import LossBreakdown, LossWeights
+from .physics import LOSS_TERMS, LossBreakdown, LossWeights
 from .rollout import SimContext, advance, frame_loss, run_rollout
 from .scenes import BufferedFrame, Scene, sample_frame
 
-TRAIN_LOG_COLUMNS = ("stretch", "bending", "collision", "gravity", "friction", "inertia", "total")
+TRAIN_LOG_COLUMNS = LOSS_TERMS + ("total",)
 
 # the least value of each count field of TrainConfig
 _COUNT_MINIMUMS = {
@@ -188,11 +188,10 @@ def refresh_buffer(scene: Scene, ctx: SimContext, params, use_model: bool) -> No
             break
         frames.append(BufferedFrame(f + 1, state))
     if len(frames) < scene.frames // 2:
-        # an immature model yields a short usable roll; keep the physical
-        # free-fall pool alongside so sampling never degenerates to one state
-        seen = {entry.frame for entry in frames}
-        frames += [entry for entry in _free_fall_states(scene) if entry.frame not in seen]
-        frames.sort(key=lambda entry: entry.frame)
+        # an immature model yields a short usable roll; extend it with the
+        # physical free-fall frames past it so sampling never degenerates to
+        # one state (both lists hold frames 0, 1, ... in order)
+        frames += _free_fall_states(scene)[len(frames):]
     scene.buffer = frames
 
 

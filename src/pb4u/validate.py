@@ -21,7 +21,7 @@ PROBE_MATERIAL = MaterialParams(
     lame_mu=3.0, lame_lambda=2.0, bending_coeff=0.5, mass_density=0.4, friction_coeff=0.6
 )
 
-ENERGY_NAMES = ("stretch", "bending", "collision", "gravity", "friction", "inertia")
+ENERGY_NAMES = physics.LOSS_TERMS
 
 
 @dataclass

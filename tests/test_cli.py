@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from pb4u import io as pio
-from pb4u.cli import main
+from pb4u.cli import _build_parser, main
 from pb4u.control import calibrate, propagation_steps
 from pb4u.mesh import load_obj_mesh, make_grid_cloth, mean_edge_length, write_obj, DEFAULT_MATERIAL
 from pb4u.scenes import drape_sphere_preset
@@ -279,6 +279,30 @@ def test_frames_below_one_is_a_usage_error(workdir, tmp_path, capsys, command, f
 
 def test_gradcheck_passes():
     assert main(["gradcheck", "--seed", "3"]) == 0
+
+
+@pytest.mark.parametrize("args", [
+    ["gen-scene", "--preset", "drape-sphere", "--grid", "4", "--out", "{tmp}/s.json"],
+    ["rollout", "--ckpt", "{work}/model.ckpt", "--scene", "{work}/scene.json", "--frames", "1",
+     "--out-dir", "{tmp}/frames", "--metrics", "{tmp}/m.csv"],
+    ["eval", "--ckpt", "{work}/model.ckpt", "--scene", "{work}/scene.json", "--frames", "1",
+     "--report", "{tmp}/r.json"],
+    ["sweep-k", "--ckpt", "{work}/model.ckpt", "--scene", "{work}/scene.json", "--k-range", "1:2",
+     "--out", "{tmp}/k.csv"],
+    ["subdivide", "--in", "{tmp}/g.obj", "--levels", "1", "--out", "{tmp}/o.obj"],
+])
+def test_seed_is_a_usage_error_where_nothing_is_random(workdir, tmp_path, capsys, args):
+    argv = [arg.format(tmp=tmp_path, work=workdir) for arg in args] + ["--seed", "3"]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == "usage error: unrecognized arguments: --seed 3\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_seed_is_parsed_where_it_is_used():
+    parser = _build_parser()
+    assert parser.parse_args(["train", "--config", "c.json", "--out", "m.ckpt", "--seed", "4"]).seed == 4
+    assert parser.parse_args(["train", "--config", "c.json", "--out", "m.ckpt"]).seed is None
+    assert parser.parse_args(["gradcheck"]).seed == 0
 
 
 def test_subdivide_growth_and_roundtrip(tmp_path):

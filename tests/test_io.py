@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from pb4u import io as pio
 from pb4u import network as net
+from pb4u.diffcore import Tensor
 from pb4u.errors import ConfigMismatch, FormatError, IoError
 from pb4u.graph import SimGraph
 from pb4u.mesh import ScaleFactors
@@ -21,7 +22,7 @@ CFG = net.NetworkConfig(latent_dim=16, processor_depth=2)
 
 
 def small_params(seed=0):
-    return net.init_params(CFG, seed=seed, vertex_dim=14, edge_dim=7, dtype=np.float32)
+    return net.init_params(CFG, seed=seed, dtype=np.float32)
 
 
 def test_roundtrip_bitwise(tmp_path):
@@ -112,7 +113,9 @@ def test_truncated_payload_reports_byte_counts(tmp_path):
 
 
 def test_config_mismatch_on_wrong_feature_width(tmp_path):
-    params = net.init_params(CFG, seed=0, vertex_dim=9, edge_dim=7, dtype=np.float32)
+    params = small_params()
+    # a checkpoint for 9-wide vertex features: the encoder's first layer takes 9 inputs
+    params.vertex_encoder.weights[0] = Tensor(np.ones((9, CFG.latent_dim), dtype=np.float32), track=True)
     path = tmp_path / "model.ckpt"
     pio.save_checkpoint(params, path)
     with pytest.raises(ConfigMismatch):

@@ -4,6 +4,8 @@ Derived expectations are computed by independent brute-force loops over the
 edge/triangle lists rather than by the code paths under test.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -237,6 +239,18 @@ def test_overflowing_degenerate_triangle_rejected():
         m.TriMesh.from_triangles(positions, np.array([[0, 1, 2]]), MAT)
 
 
+def test_huge_finite_coordinates_rejected_without_overflow_warnings():
+    grid = m.make_grid_cloth(3, 1.0, MAT)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidMesh, match="area overflows"):
+            m.TriMesh.from_triangles(grid.rest_positions * 1e200, grid.triangles, MAT)
+        # a sliver's area stays finite while its long sides overflow
+        sliver = np.array([[0.0, 0, 0], [1e200, 0, 0], [1e200, 1e-100, 0]])
+        with pytest.raises(InvalidMesh, match="edge length overflows"):
+            m.TriMesh.from_triangles(sliver, np.array([[0, 1, 2]]), MAT)
+
+
 def test_triangle_edges_index_every_sorted_side():
     mesh = m.subdivide_midpoint(m.make_grid_cloth(4, 1.0, MAT))
     assert mesh.triangle_edges.shape == mesh.triangles.shape
@@ -345,3 +359,5 @@ def test_obj_loader_returns_mesh_or_format_error(tmp_path, edits):
     assert np.all(np.isfinite(mesh.rest_positions))
     assert mesh.triangles.min() >= 0 and mesh.triangles.max() < mesh.vertex_count
     assert np.all(mesh.triangle_areas > 0) and np.all(mesh.rest_edge_lengths > 0)
+    assert np.all(np.isfinite(mesh.triangle_areas)) and np.all(np.isfinite(mesh.lumped_areas))
+    assert np.all(np.isfinite(mesh.rest_edge_lengths))

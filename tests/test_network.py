@@ -6,6 +6,7 @@ import pytest
 from pb4u import diffcore as dc
 from pb4u import io as pio
 from pb4u import network as net
+from pb4u.diffcore import Tensor
 from pb4u.control import calibrate
 from pb4u.errors import InvalidArgument, NumericDivergence
 from pb4u.graph import EDGE_FEATURE_DIM, VERTEX_FEATURE_DIM, SimGraph, SimState, build_graph
@@ -391,3 +392,89 @@ def test_config_validation():
         net.NetworkConfig(k_steps=-1)
     with pytest.raises(InvalidArgument):
         net.NetworkConfig(processor_depth=-2)
+
+
+def _full_row_update(latent, h_garment, params):
+    """Oracle: the update over every row of V, body rows passed through."""
+    n_g = latent.garment_count
+    n_total = latent.V.data.shape[0]
+    v_garment = dc.gather(latent.V, np.arange(n_g))
+    fused = params.update_fn(dc.concat([v_garment, h_garment], axis=1))
+    return dc.concat([fused, dc.gather(latent.V, np.arange(n_g, n_total))], axis=0)
+
+
+def _full_row_process(latent, v, params):
+    """Oracle: processor blocks that split and rejoin the full rows of ``v``."""
+    n_g = latent.garment_count
+    n_total = v.data.shape[0]
+    e = latent.E
+    for block in params.blocks:
+        v_dst = dc.gather(v, latent.receivers)
+        v_src = dc.gather(v, latent.senders)
+        e = dc.add(e, block.edge_mlp(dc.concat([e, v_dst, v_src], axis=1)))
+        incoming = dc.scatter_add(e, latent.receivers, n_g)
+        v_garment = dc.gather(v, np.arange(n_g))
+        v_garment = dc.add(v_garment, block.vertex_mlp(dc.concat([v_garment, incoming], axis=1)))
+        v = dc.concat([v_garment, dc.gather(v, np.arange(n_g, n_total))], axis=0)
+    return v
+
+
+def _full_row_decode_and_scale(v, scale, params):
+    raw = params.decoder(dc.gather(v, np.arange(scale.s.shape[0])))
+    return dc.scale_rows(raw, Tensor(scale.s.astype(raw.dtype)))
+
+
+def _full_row_accelerations(graph, scale, params, config, k_steps):
+    latent = net.encode(graph, params)
+    h_garment = net.propagate(latent, k_steps, config.gamma, params)
+    v = _full_row_process(latent, _full_row_update(latent, h_garment, params), params)
+    return _full_row_decode_and_scale(v, scale, params)
+
+
+def _drape_graph(dtype, grid=6):
+    """Frame 0 of a drape: the garment starts within the world-edge radius
+    of the sphere, so world edges carry the body rows into the garment."""
+    scene = pio.scene_from_dict(drape_sphere_preset(grid, frames=4))
+    graph = build_graph(scene.initial_state(), scene.garment, scene.body_mesh, scene.world_radius, dtype=dtype)
+    assert graph.world_edges.shape[0] > 0
+    return graph, rest_scale_factors(scene.garment)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_garment_row_network_matches_full_row_oracle_bitwise(dtype):
+    """Updating garment rows only gives the accelerations and parameter
+    gradients of the network that carries V's body rows through every stage."""
+    graph, scale = _drape_graph(dtype)
+    config = net.NetworkConfig(latent_dim=16, processor_depth=3)
+    weights = np.random.default_rng(21).normal(size=(graph.garment_count, 3)).astype(dtype)
+
+    def run(forward):
+        params = net.init_params(config, seed=16, dtype=dtype)
+        tape = dc.Tape()
+        with dc.recording(tape):
+            accel = forward(graph, scale, params, config, 4)
+            tape.backward(dc.sum_all(dc.mul(accel, Tensor(weights))))
+        return accel.data, {name: t.grad for name, t in params.named_tensors().items()}
+
+    accel, grads = run(net.forward_accelerations)
+    oracle_accel, oracle_grads = run(_full_row_accelerations)
+    assert accel.dtype == dtype and np.array_equal(accel, oracle_accel)
+    assert grads.keys() == oracle_grads.keys()
+    for name, grad in grads.items():
+        assert grad is not None and np.array_equal(grad, oracle_grads[name]), name
+    # the body rows reach the garment: the vertex encoder gets gradient from both
+    assert np.any(grads["vertex_encoder.w2"] != 0.0)
+
+
+def test_network_backward_through_body_rows_matches_finite_differences():
+    graph, scale = _drape_graph(np.float64)
+    assert graph.world_edges.shape[0] == 672
+    config = net.NetworkConfig(latent_dim=8, processor_depth=1)
+    params = net.init_params(config, seed=17, dtype=np.float64)
+    weights = Tensor(np.random.default_rng(22).normal(size=(graph.garment_count, 3)))
+
+    def objective(*_):
+        return dc.sum_all(dc.mul(net.forward_accelerations(graph, scale, params, config, 3), weights))
+
+    encoder = params.vertex_encoder
+    assert dc.grad_check(objective, [encoder.weights[2], encoder.biases[2]]) <= 1e-6

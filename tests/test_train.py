@@ -7,6 +7,10 @@ from pb4u import io as pio
 from pb4u.errors import InvalidArgument
 from pb4u.physics import LossWeights
 from pb4u.scenes import drape_sphere_preset
+from pb4u import train as tr
+from pb4u.control import calibrate
+from pb4u.mesh import mean_edge_length
+from pb4u.rollout import SimContext
 from pb4u.train import Adam, TrainConfig, clip_gradients, train
 from pb4u.diffcore import Tensor
 
@@ -140,3 +144,19 @@ def test_nonfinite_loss_aborts_with_diagnostic_dump(tmp_path):
     dumps = sorted(tmp_path.glob("diverged_iter*"))
     assert any(p.suffix == ".obj" for p in dumps)
     assert any(p.suffix == ".json" for p in dumps)
+
+
+def test_short_model_roll_continues_with_the_free_fall_frames_past_it(monkeypatch):
+    scene = tiny_scene(frames=16)
+    config = tiny_config()
+    ctx = SimContext.build(scene, config.network_config(), calibrate(config.k_base, mean_edge_length(scene.garment)))
+    params = tr.initial_training_params(config, [scene])
+    monkeypatch.setattr(tr, "_state_is_sane", lambda scene, state, frame: frame < 3)
+    tr.refresh_buffer(scene, ctx, params, use_model=True)
+    free_fall = tr._free_fall_states(scene)
+    assert len(free_fall) > 3 and 3 < scene.frames // 2
+    assert [entry.frame for entry in scene.buffer] == list(range(len(free_fall)))
+    assert not np.array_equal(scene.buffer[2].state.garment_pos, free_fall[2].state.garment_pos)
+    for got, want in zip(scene.buffer[3:], free_fall[3:]):
+        assert np.array_equal(got.state.garment_pos, want.state.garment_pos)
+        assert np.array_equal(got.state.garment_vel, want.state.garment_vel)
