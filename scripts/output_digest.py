@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """sha256 digests of training and rollout outputs on the benchmark's inputs.
 
-    python3 scripts/output_digest.py [ROOT]
+    python3 scripts/output_digest.py [ROOT] [--against DIR]
 
 ROOT is a checkout of this repository (default: the one holding this script);
 its ``src`` and ``perfbench`` are imported. Two checkouts print the same
@@ -18,20 +18,29 @@ digests exactly when a change keeps the outputs bit-for-bit equal:
   - ``gradcheck``: the ``repr`` of ``validate.energy_gradchecks(seed)``
     (the ``pb4u gradcheck`` errors) for seeds 0-3.
 
-BLAS runs on one thread, as in the benchmark.
+BLAS runs on one thread, as in the benchmark. ``--against DIR`` also runs
+this script on the checkout DIR, in a subprocess with the same environment,
+marks each line ``same`` or ``DIFFERENT`` and exits 1 on any difference.
 """
 
 import os
 
 os.environ["OPENBLAS_NUM_THREADS"] = os.environ["OMP_NUM_THREADS"] = "1"   # before numpy loads BLAS
 
+import argparse
 import dataclasses
 import hashlib
+import subprocess
 import sys
 import tempfile
+from itertools import zip_longest
 from pathlib import Path
 
-ROOT = Path(sys.argv[1] if len(sys.argv) > 1 else Path(__file__).resolve().parent.parent).resolve()
+_parser = argparse.ArgumentParser(description="sha256 digests of training and rollout outputs")
+_parser.add_argument("root", nargs="?", default=Path(__file__).resolve().parent.parent)
+_parser.add_argument("--against", metavar="DIR", help="compare with the digests of the checkout DIR")
+ARGS = _parser.parse_args()
+ROOT = Path(ARGS.root).resolve()
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import numpy as np  # noqa: E402
@@ -54,7 +63,8 @@ def put_row(h, row) -> None:
         h.update(f"{field.name}={getattr(row, field.name)!r};".encode())
 
 
-def main() -> None:
+def digests():
+    """Yield the output lines, one ``name  hexdigest`` per digest."""
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         wl.write_inputs(wl.WORKLOADS["train-base"], 0, tmp / "train")
@@ -66,8 +76,8 @@ def main() -> None:
         for name, t in sorted(result.params.named_tensors().items()):
             params.update(name.encode())
             put_array(params, t.data)
-        print(f"train-base log     {log.hexdigest()}")
-        print(f"train-base params  {params.hexdigest()}")
+        yield f"train-base log     {log.hexdigest()}"
+        yield f"train-base params  {params.hexdigest()}"
         for name in ("rollout-fine", "rollout-dense-body"):
             scene_path = wl.write_inputs(wl.WORKLOADS[name], 0, tmp / name)
             model, config, ctrl = wl.load_model(tmp / name / "model0.ckpt")
@@ -79,7 +89,7 @@ def main() -> None:
                 put_array(h, state.garment_vel)
             for row in rolled.losses:
                 put_row(h, row)
-            print(f"{name:<18} {h.hexdigest()}")
+            yield f"{name:<18} {h.hexdigest()}"
         scene = pio.scene_from_dict(hang_pinned_preset(10, frames=12))
         config = TrainConfig(scenes=[], iterations=6, buffer_refresh=2, rollout_steps=2, latent_dim=16,
                              processor_depth=1, k_base=3, seed=3)
@@ -94,12 +104,33 @@ def main() -> None:
             h.update(f"frame={entry.frame};".encode())
             for field in dataclasses.fields(entry.state):
                 put_array(h, getattr(entry.state, field.name))
-        print(f"train-pinned       {h.hexdigest()}")
+        yield f"train-pinned       {h.hexdigest()}"
     h = hashlib.sha256()
     for seed in range(4):
         h.update(repr(validate.energy_gradchecks(seed)).encode())
-    print(f"gradcheck          {h.hexdigest()}")
+    yield f"gradcheck          {h.hexdigest()}"
+
+
+def main() -> int:
+    if ARGS.against is None:
+        for line in digests():
+            print(line, flush=True)
+        return 0
+    other = subprocess.Popen([sys.executable, __file__, ARGS.against], stdout=subprocess.PIPE, text=True)
+    ours = list(digests())
+    theirs = other.communicate()[0].splitlines()
+    if other.returncode:
+        print(f"digests of {ARGS.against} failed with exit code {other.returncode}", file=sys.stderr)
+        return 1
+    differ = False
+    for mine, base in zip_longest(ours, theirs):
+        if mine == base:
+            print(f"{mine}  same")
+        else:
+            differ = True
+            print(f"{mine}  DIFFERENT ({ARGS.against}: {base})")
+    return int(differ)
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -52,20 +52,8 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def __add__(self, other):
-        return add(self, _wrap(other, self))
-
-    def __mul__(self, other):
-        return mul(self, _wrap(other, self))
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}, tracked={self.tracked})"
-
-
-def _wrap(value, like: Tensor) -> Tensor:
-    if isinstance(value, Tensor):
-        return value
-    return Tensor(np.asarray(value, dtype=like.data.dtype))
 
 
 class _Node:
@@ -308,7 +296,7 @@ def scatter_add(values: Tensor, index, size: int) -> Tensor:
     return _record(out, (values,), pull)
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = LAYER_NORM_EPS) -> Tensor:
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Normalize each row of a 2-D input over its last axis, then apply the
     learnable affine map."""
     if x.data.ndim != 2:
@@ -319,7 +307,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = LAYER_NORM_EP
     mu = x.data.mean(axis=-1, keepdims=True)
     centered = x.data - mu
     var = np.mean(centered * centered, axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
     xhat = centered * inv
     out = Tensor(xhat * gain.data + bias.data)
 

@@ -87,6 +87,7 @@ class SimGraph:
 # add candidate pairs that the exact distance test then rejects
 _HASH_PRIMES = (np.int64(73856093), np.int64(19349663), np.int64(83492791))
 _CELL_CLAMP = float(2**50)
+_NEIGHBOUR_OFFSETS = np.stack(np.meshgrid([-1, 0, 1], [-1, 0, 1], [-1, 0, 1], indexing="ij"), -1).reshape(27, 3)
 
 
 def _hash_cells(points: np.ndarray, radius: float) -> np.ndarray:
@@ -113,46 +114,24 @@ def build_world_edges(garment_pos: np.ndarray, body_pos: np.ndarray, radius: flo
         raise InvalidArgument(f"radius must be positive, got {radius}")
     garment_pos = np.asarray(garment_pos, dtype=np.float64)
     body_pos = np.asarray(body_pos, dtype=np.float64)
-    if garment_pos.shape[0] == 0 or body_pos.shape[0] == 0:
-        return np.zeros((0, 2), dtype=np.int64)
-
-    body_cells = _hash_cells(body_pos, radius)
-    garment_cells = _hash_cells(garment_pos, radius)
-    body_keys = _pack_cells(body_cells)
-    body_order = np.argsort(body_keys, kind="stable")
+    body_keys = _pack_cells(_hash_cells(body_pos, radius))
+    body_order = np.argsort(body_keys)
     sorted_keys = body_keys[body_order]
-
-    pairs_g: list[np.ndarray] = []
-    pairs_b: list[np.ndarray] = []
-    garment_idx = np.arange(garment_pos.shape[0], dtype=np.int64)
-    for dx in (-1, 0, 1):
-        for dy in (-1, 0, 1):
-            for dz in (-1, 0, 1):
-                neighbour = garment_cells + np.array([dx, dy, dz], dtype=np.int64)
-                keys = _pack_cells(neighbour)
-                left = np.searchsorted(sorted_keys, keys, side="left")
-                right = np.searchsorted(sorted_keys, keys, side="right")
-                counts = right - left
-                total = int(counts.sum())
-                if total == 0:
-                    continue
-                g_rep = np.repeat(garment_idx, counts)
-                starts = np.repeat(left, counts)
-                offsets = np.arange(total) - np.repeat(np.cumsum(counts) - counts, counts)
-                b_cand = body_order[starts + offsets]
-                delta = garment_pos[g_rep] - body_pos[b_cand]
-                close = (delta * delta).sum(axis=1) < radius * radius
-                pairs_g.append(g_rep[close])
-                pairs_b.append(b_cand[close])
-
-    if not pairs_g:
-        return np.zeros((0, 2), dtype=np.int64)
-    g = np.concatenate(pairs_g)
-    b = np.concatenate(pairs_b)
+    # every garment cell plus each of the 27 offsets, garment-major
+    neighbours = _hash_cells(garment_pos, radius)[:, None, :] + _NEIGHBOUR_OFFSETS
+    keys = _pack_cells(neighbours.reshape(-1, 3))
+    left = np.searchsorted(sorted_keys, keys, side="left")
+    counts = np.searchsorted(sorted_keys, keys, side="right") - left
+    # candidate j of key i is sorted body slot left[i] + j
+    run_starts = np.repeat(left - (np.cumsum(counts) - counts), counts)
+    b = body_order[run_starts + np.arange(run_starts.shape[0])]
+    g = np.repeat(np.arange(keys.shape[0]) // 27, counts)
+    delta = garment_pos[g] - body_pos[b]
+    close = (delta * delta).sum(axis=1) < radius * radius
     # hash-key collisions between neighbouring cells can surface the same
     # pair through two offsets; the exact combined key dedupes and orders
     n_b = body_pos.shape[0]
-    combined = np.unique(g * n_b + b)
+    combined = np.unique(g[close] * n_b + b[close])
     return np.stack([combined // n_b, combined % n_b], axis=1)
 
 

@@ -32,6 +32,7 @@ from .network import Mlp, ModelParams, ProcessorBlock
 from .diffcore import Tensor
 from .physics import DEFAULT_CONTACT_MARGIN, LOSS_TERMS, LossWeights
 from .scenes import DEFAULT_BODY_LAT, DEFAULT_BODY_LON, BodySpec, Scene, build_scene
+from .train import TrainConfig
 
 MAGIC = b"PB4UCKPT"
 VERSION = 1
@@ -194,10 +195,13 @@ def load_checkpoint(path, expect_vertex_dim: int | None = None, expect_edge_dim:
     def mlp(prefix: str, in_dim: int | None) -> Mlp:
         return _collect_mlp(named, prefix, path, in_dim, d)
 
-    block_ids = sorted({name.split(".")[1] for name in named if name.startswith("blocks.")})
+    block_ids = {name.split(".")[1] for name in named if name.startswith("blocks.")}
+    depth = len(block_ids)
+    if block_ids != {f"{k:02d}" for k in range(depth)}:
+        raise FormatError(f"{path}: processor block ids {sorted(block_ids)} are not 00, 01, ... without gaps")
     blocks = [
-        ProcessorBlock(edge_mlp=mlp(f"blocks.{bid}.edge", 3 * d), vertex_mlp=mlp(f"blocks.{bid}.vertex", 2 * d))
-        for bid in block_ids
+        ProcessorBlock(edge_mlp=mlp(f"blocks.{k:02d}.edge", 3 * d), vertex_mlp=mlp(f"blocks.{k:02d}.vertex", 2 * d))
+        for k in range(depth)
     ]
     params = ModelParams(
         vertex_encoder=mlp("vertex_encoder", None),
@@ -377,8 +381,6 @@ _TRAIN_KEYS = {
 
 
 def load_train_config(path):
-    from .train import TrainConfig  # local import to avoid a cycle
-
     try:
         with open(path, "r") as fh:
             doc = json.load(fh)

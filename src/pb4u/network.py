@@ -85,8 +85,10 @@ class ModelParams:
         return self.decoder.weights[0].dtype
 
     def named_tensors(self) -> dict[str, Tensor]:
-        """Stable name -> tensor map; block indices are zero-padded so the
-        lexicographic checkpoint order matches the numeric order."""
+        """Stable name -> tensor map; block k is ``blocks.{k:02d}``, the ids
+        ``io.load_checkpoint`` requires. Past 99 blocks the lexicographic
+        order of the names is not the numeric one, so the loader builds the
+        blocks by index, not by sorting the ids."""
         out: dict[str, Tensor] = {}
 
         def put(prefix: str, mlp: Mlp) -> None:
@@ -197,7 +199,7 @@ def propagate(latent: LatentGraph, k_steps: int, gamma: float, params: ModelPara
         messages = params.message_fn(dc.concat([h_dst, h_src, latent.E], axis=1))
         aggregated = dc.scatter_add(messages, latent.receivers, n_g)
         normalized = dc.layer_norm(aggregated, params.norm_gain, params.norm_bias)
-        h_garment = dc.add(h_garment * gamma, normalized)
+        h_garment = dc.add(dc.mul(h_garment, Tensor(gamma, dtype=h_garment.dtype)), normalized)
     return h_garment
 
 
@@ -262,9 +264,9 @@ def step(
     dtype = params.dtype
     graph = build_graph(state, garment_mesh, body_mesh, world_radius, dtype=dtype)
     accel = forward_accelerations(graph, scale, params, config, k_steps)
-    dt = state.time_step
-    vel_next = dc.add(Tensor(state.garment_vel.astype(dtype)), accel * dt)
-    pos_next = dc.add(Tensor(state.garment_pos.astype(dtype)), vel_next * dt)
+    dt = Tensor(state.time_step, dtype=dtype)
+    vel_next = dc.add(Tensor(state.garment_vel.astype(dtype)), dc.mul(accel, dt))
+    pos_next = dc.add(Tensor(state.garment_pos.astype(dtype)), dc.mul(vel_next, dt))
     if not np.all(np.isfinite(pos_next.data)):
         raise NumericDivergence("non-finite positions after integration step")
     return pos_next, vel_next

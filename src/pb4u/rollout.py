@@ -106,7 +106,12 @@ class RolloutResult:
     losses: list            # LossBreakdown per completed frame
     latencies_ms: list
     diverged: bool = False
-    diverged_at: int | None = None
+
+    @property
+    def diverged_at(self) -> int | None:
+        """The frame, counted from the rollout's first, whose step or loss
+        diverged; the frames before it are kept."""
+        return len(self.states) if self.diverged else None
 
 
 def run_rollout(
@@ -128,7 +133,6 @@ def run_rollout(
             next_state, _ = advance(ctx, state, start_frame + f, params)
         except NumericDivergence:
             result.diverged = True
-            result.diverged_at = f
             break
         latency = 1000.0 * (time.perf_counter() - began)
         if compute_losses:
@@ -138,7 +142,6 @@ def run_rollout(
                 result.losses.append(breakdown)
             except NumericDivergence:
                 result.diverged = True
-                result.diverged_at = f
                 break
         result.latencies_ms.append(latency)
         result.states.append(next_state)
@@ -176,8 +179,7 @@ def evaluation_report(ctx: SimContext, result: RolloutResult) -> dict:
     for f, row in enumerate(result.losses):
         entry = {"frame": f}
         entry.update(row.as_dict())
-        if f < len(result.latencies_ms):
-            entry["latency_ms"] = result.latencies_ms[f]
+        entry["latency_ms"] = result.latencies_ms[f]
         per_frame.append(entry)
     return {
         "frames": per_frame,

@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .diffcore import Tensor
+from .diffcore import Tensor, add, mul
 from .errors import InvalidArgument, InvalidState
 from .graph import SimState
 from .mesh import DEFAULT_MATERIAL, MaterialParams, TriMesh, make_grid_cloth, mean_edge_length
@@ -164,7 +164,7 @@ class Scene:
         mask[self.pinned] = 0.0
         targets = np.zeros((n, 3), dtype=positions.dtype)
         targets[self.pinned] = self.pinned_targets()
-        return (positions * Tensor(mask)) + Tensor(targets)
+        return add(mul(positions, Tensor(mask)), Tensor(targets))
 
     def max_penetration(self, garment_pos: np.ndarray, frame: int) -> float:
         """Deepest garment penetration into the analytic body at a frame;

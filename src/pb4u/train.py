@@ -201,10 +201,9 @@ class TrainResult:
     log: list                 # one LossBreakdown per iteration
     control: ControlConfig
     config: TrainConfig
-    l_base: float
 
     def checkpoint_meta(self) -> dict:
-        return {"gamma": self.config.gamma, "k_base": self.config.k_base, "l_base": self.l_base}
+        return {"gamma": self.config.gamma, "k_base": self.config.k_base, "l_base": self.control.l_base}
 
 
 def initial_training_params(config: TrainConfig, scenes: list) -> net.ModelParams:
@@ -224,8 +223,7 @@ def train(config: TrainConfig, scenes: list, diagnostics_dir=None) -> TrainResul
     named = params.named_tensors()
     optimizer = Adam(named, config.learning_rate, config.beta1, config.beta2, config.epsilon)
 
-    l_base = mean_edge_length(scenes[0].garment)
-    ctrl = calibrate(config.k_base, l_base)
+    ctrl = calibrate(config.k_base, mean_edge_length(scenes[0].garment))
     contexts = [
         SimContext.build(scene, network_config, ctrl, weights=config.weights)
         for scene in scenes
@@ -265,7 +263,7 @@ def train(config: TrainConfig, scenes: list, diagnostics_dir=None) -> TrainResul
         for t in named.values():
             t.grad = None
         log.append(breakdown)
-    return TrainResult(params=params, log=log, control=ctrl, config=config, l_base=l_base)
+    return TrainResult(params=params, log=log, control=ctrl, config=config)
 
 
 def _dump_divergence(diagnostics_dir, iteration: int, entry: BufferedFrame, scene: Scene) -> None:

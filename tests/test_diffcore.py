@@ -342,11 +342,11 @@ def test_grad_check_rejects_nonfinite_forward():
 
 
 def test_dtype_follows_inputs():
-    x32 = dc.Tensor(np.ones((2, 2), dtype=np.float32), track=True)
-    out = x32 * 2.0
-    assert out.dtype == np.float32
-    out64 = dc.Tensor(np.ones(3)) * 2.0
-    assert out64.dtype == np.float64
+    for dtype in (np.float32, np.float64):
+        x = dc.Tensor(np.ones((2, 2), dtype=dtype), track=True)
+        two = dc.Tensor(2.0, dtype=dtype)
+        assert dc.mul(x, two).dtype == dtype
+        assert dc.add(x, two).dtype == dtype
 
 
 @settings(max_examples=40, deadline=None)

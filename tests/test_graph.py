@@ -69,6 +69,52 @@ def test_world_edges_sorted_and_validated():
         g.build_world_edges(garment, body, 0.0)
 
 
+def exact_pairs(garment, body, radius):
+    """All-pairs oracle in the search's own arithmetic, so points on a cell
+    face round as they do there."""
+    d = garment[:, None] - body[None]
+    return np.argwhere((d * d).sum(-1) < radius * radius)
+
+
+@st.composite
+def point_clouds(draw):
+    """Garment and body clouds at scales 1e-3 to 1e3 with a radius; some
+    points snapped to multiples of the radius (cell faces), some repeated,
+    either cloud possibly empty."""
+    r = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = 10.0 ** draw(st.floats(-3, 3))
+    radius = scale * draw(st.floats(0.05, 1.0))
+    n_g, n_b = draw(st.integers(0, 40)), draw(st.integers(0, 40))
+    points = r.normal(size=(n_g + n_b, 3)) * scale
+    snapped = r.random(n_g + n_b) < draw(st.floats(0, 1))
+    points[snapped] = np.round(points[snapped] / radius) * radius
+    if n_g + n_b:
+        copies = r.integers(0, n_g + n_b, size=(n_g + n_b) // 4)
+        points[r.integers(0, n_g + n_b, size=copies.shape[0])] = points[copies]
+    return points[:n_g], points[n_g:], radius
+
+
+@settings(max_examples=200, deadline=None)
+@given(point_clouds())
+def test_world_edges_match_exact_oracle(clouds):
+    garment, body, radius = clouds
+    edges = g.build_world_edges(garment, body, radius)
+    assert edges.dtype == np.int64 and edges.shape[1:] == (2,)
+    assert np.array_equal(edges, exact_pairs(garment, body, radius))
+
+
+def test_world_edges_dedupe_when_every_cell_shares_a_key(monkeypatch):
+    # every body vertex is then a candidate of each garment vertex through all
+    # 27 offsets; the search must still return each close pair once
+    monkeypatch.setattr(g, "_pack_cells", lambda cells: np.zeros(cells.shape[0], dtype=np.int64))
+    r = np.random.default_rng(3)
+    garment = r.uniform(0, 1, size=(30, 3))
+    body = r.uniform(0, 1, size=(25, 3))
+    want = exact_pairs(garment, body, 0.3)
+    assert want.shape[0] > 0
+    assert np.array_equal(g.build_world_edges(garment, body, 0.3), want)
+
+
 def far_state(garment_mesh):
     """A state whose body is far from the garment: the garment rows of every
     feature are those of the garment alone."""

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from pb4u import io as pio
 from pb4u import network as net
+from pb4u.cli import main
 from pb4u.diffcore import Tensor
 from pb4u.errors import ConfigMismatch, FormatError, IoError
 from pb4u.graph import SimGraph
@@ -120,6 +121,37 @@ def test_config_mismatch_on_wrong_feature_width(tmp_path):
     pio.save_checkpoint(params, path)
     with pytest.raises(ConfigMismatch):
         pio.load_checkpoint(path, expect_vertex_dim=14, expect_edge_dim=7)
+
+
+def test_more_than_99_blocks_reload_in_order(tmp_path):
+    # ids were sorted as strings, so blocks.100 came back between 10 and 11
+    params = net.init_params(net.NetworkConfig(latent_dim=2, processor_depth=101), seed=0, dtype=np.float32)
+    path = tmp_path / "deep.ckpt"
+    pio.save_checkpoint(params, path)
+    loaded, _ = pio.load_checkpoint(path)
+    src, dst = params.named_tensors(), loaded.named_tensors()
+    assert list(src) == list(dst)
+    for name in src:
+        assert np.array_equal(src[name].data, dst[name].data), name
+
+
+def test_block_ids_with_a_gap_are_format_error(tmp_path, capsys):
+    path = tmp_path / "model.ckpt"
+    pio.save_checkpoint(small_params(), path, meta={"gamma": 0.9, "k_base": 8, "l_base": 0.05})
+    tensors = pio.load_tensors(path)
+    for name in [n for n in tensors if n.startswith("blocks.01.")]:
+        tensors[name.replace("blocks.01.", "blocks.07.")] = tensors.pop(name)
+    bad = tmp_path / "gap.ckpt"
+    pio.save_tensors(tensors, bad)
+    with pytest.raises(FormatError, match="gap.ckpt"):
+        pio.load_checkpoint(bad)
+    scene = tmp_path / "scene.json"
+    pio.save_scene(drape_sphere_preset(4, frames=4), scene)
+    rc = main(["eval", "--ckpt", str(bad), "--scene", str(scene), "--frames", "1",
+               "--report", str(tmp_path / "report.json")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "gap.ckpt" in err and err.count("\n") == 1
 
 
 def test_missing_file_is_io_error(tmp_path):

@@ -7,6 +7,7 @@ must match bitwise."""
 import numpy as np
 import pytest
 
+from pb4u import diffcore as dc
 from pb4u import graph
 from pb4u import io as pio
 from pb4u import network as net
@@ -53,7 +54,7 @@ def _old_apply_pins_tensor(scene, pred):
     mask[pinned] = 0.0
     targets = np.zeros((n, 3), dtype=pred.dtype)
     targets[pinned] = scene.pinned_targets()
-    return (pred * Tensor(mask)) + Tensor(targets)
+    return dc.add(dc.mul(pred, Tensor(mask)), Tensor(targets))
 
 
 def _old_apply_pins_state(scene, state):

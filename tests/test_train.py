@@ -89,9 +89,9 @@ def test_control_calibration_uses_base_mesh():
 
     scene = tiny_scene()
     result = train(tiny_config(), [scene])
-    assert result.l_base == mean_edge_length(scene.garment)
+    assert result.control.l_base == mean_edge_length(scene.garment)
     assert result.control.k_base == 3
-    assert result.control.d == 3 * result.l_base
+    assert result.control.d == 3 * result.control.l_base
 
 
 def test_config_validation():
