@@ -38,7 +38,7 @@ from .errors import (
 )
 from .graph import EDGE_FEATURE_DIM, VERTEX_FEATURE_DIM
 from .mesh import load_obj_mesh, subdivide_midpoint, write_obj
-from .rollout import SimContext, evaluation_report, run_rollout, write_loss_csv, write_rollout_outputs
+from .rollout import RolloutResult, SimContext, evaluation_report, run_rollout, write_loss_csv, write_rollout_outputs
 from .scenes import PRESETS
 from .train import TRAIN_LOG_COLUMNS, train
 
@@ -61,21 +61,25 @@ def _build_parser() -> _Parser:
     p.add_argument("--side", type=float, default=1.0)
     p.add_argument("--frames", type=int, default=48)
     p.add_argument("--dt", type=float, default=0.02)
+    p.set_defaults(run=_cmd_gen_scene)
 
     p = sub.add_parser("train", help="train from a config file, write checkpoint + log CSV")
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True, help="checkpoint path")
     p.add_argument("--log", default=None, help="training log CSV (default: <out>.log.csv)")
     p.add_argument("--seed", type=int, default=None, help="override the config's seed")
+    p.set_defaults(run=_cmd_train)
 
     p = sub.add_parser("rollout", help="autoregressive rollout to OBJ frames + metrics CSV")
     _rollout_flags(p)
     p.add_argument("--out-dir", required=True)
     p.add_argument("--metrics", required=True)
+    p.set_defaults(run=_cmd_rollout)
 
     p = sub.add_parser("eval", help="rollout and write an aggregate evaluation report")
     _rollout_flags(p)
     p.add_argument("--report", required=True)
+    p.set_defaults(run=_cmd_eval)
 
     p = sub.add_parser("sweep-k", help="evaluate a range of forced propagation depths")
     p.add_argument("--ckpt", required=True)
@@ -83,14 +87,17 @@ def _build_parser() -> _Parser:
     p.add_argument("--k-range", required=True, help="A:B inclusive")
     p.add_argument("--frames", type=_frame_count, default=10)
     p.add_argument("--out", required=True)
+    p.set_defaults(run=_cmd_sweep_k)
 
     p = sub.add_parser("gradcheck", help="finite-difference check of every energy gradient")
     p.add_argument("--seed", type=int, default=0, help="seed of the random probe scene")
+    p.set_defaults(run=_cmd_gradcheck)
 
     p = sub.add_parser("subdivide", help="midpoint-subdivide an OBJ mesh")
     p.add_argument("--in", dest="in_path", required=True)
     p.add_argument("--levels", type=int, required=True)
     p.add_argument("--out", required=True)
+    p.set_defaults(run=_cmd_subdivide)
     return parser
 
 
@@ -137,11 +144,17 @@ def _load_model(ckpt_path):
     return params, config, ctrl
 
 
-def _build_context(args, scene, config, ctrl) -> SimContext:
+def _roll(args) -> tuple[SimContext, RolloutResult]:
+    """Load the model and the scene, build the context the rollout flags ask
+    for and roll out ``--frames`` frames."""
+    params, config, ctrl = _load_model(args.ckpt)
     forced_k = args.forced_k
     if forced_k is None and args.no_adaptive_k:
         forced_k = ctrl.k_base
-    return SimContext.build(scene, config, ctrl, update_scaling=not args.no_update_scaling, forced_k=forced_k)
+    ctx = SimContext.build(
+        pio.load_scene(args.scene), config, ctrl, update_scaling=not args.no_update_scaling, forced_k=forced_k
+    )
+    return ctx, run_rollout(ctx, params, args.frames)
 
 
 def _cmd_gen_scene(args) -> int:
@@ -168,11 +181,8 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_rollout(args) -> int:
-    params, config, ctrl = _load_model(args.ckpt)
-    scene = pio.load_scene(args.scene)
-    ctx = _build_context(args, scene, config, ctrl)
-    result = run_rollout(ctx, params, args.frames)
-    write_rollout_outputs(result, scene, args.out_dir, args.metrics)
+    ctx, result = _roll(args)
+    write_rollout_outputs(result, ctx.scene, args.out_dir, args.metrics)
     print(f"rolled {len(result.states)}/{args.frames} frames at K={ctx.k_steps} into {args.out_dir}")
     if result.diverged:
         print(f"numeric divergence at frame {result.diverged_at}; partial outputs retained", file=sys.stderr)
@@ -181,10 +191,7 @@ def _cmd_rollout(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    params, config, ctrl = _load_model(args.ckpt)
-    scene = pio.load_scene(args.scene)
-    ctx = _build_context(args, scene, config, ctrl)
-    result = run_rollout(ctx, params, args.frames)
+    ctx, result = _roll(args)
     report = evaluation_report(ctx, result)
     with open(args.report, "w", newline="\n") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)
@@ -242,8 +249,8 @@ def _cmd_sweep_k(args) -> int:
     return 0
 
 
-def _cmd_gradcheck(seed: int) -> int:
-    errors = validate.energy_gradchecks(seed)
+def _cmd_gradcheck(args) -> int:
+    errors = validate.energy_gradchecks(args.seed)
     ok = True
     print(f"{'term':<10} {'max rel error':>14}   limit {GRADCHECK_TOLERANCE:g}")
     for name in validate.ENERGY_NAMES:
@@ -269,21 +276,7 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command == "gen-scene":
-            return _cmd_gen_scene(args)
-        if args.command == "train":
-            return _cmd_train(args)
-        if args.command == "rollout":
-            return _cmd_rollout(args)
-        if args.command == "eval":
-            return _cmd_eval(args)
-        if args.command == "sweep-k":
-            return _cmd_sweep_k(args)
-        if args.command == "gradcheck":
-            return _cmd_gradcheck(args.seed)
-        if args.command == "subdivide":
-            return _cmd_subdivide(args)
-        raise UsageError(f"unknown command {args.command!r}")
+        return args.run(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

@@ -23,7 +23,11 @@ _GUARD = 1.0 + 4.0 * float(np.finfo(np.float64).eps)
 class ControlConfig:
     k_base: int
     l_base: float
-    d: float  # propagation distance, k_base * l_base as stored
+
+    @property
+    def d(self) -> float:
+        """Propagation distance."""
+        return float(self.k_base) * self.l_base
 
 
 def calibrate(k_base: int, l_base: float) -> ControlConfig:
@@ -31,7 +35,7 @@ def calibrate(k_base: int, l_base: float) -> ControlConfig:
         raise InvalidArgument(f"k_base must be >= 1, got {k_base}")
     if l_base <= 0:
         raise InvalidArgument(f"l_base must be positive, got {l_base}")
-    return ControlConfig(k_base=int(k_base), l_base=float(l_base), d=float(k_base) * float(l_base))
+    return ControlConfig(k_base=int(k_base), l_base=float(l_base))
 
 
 def propagation_steps(config: ControlConfig, mean_edge: float) -> int:

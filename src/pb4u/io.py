@@ -17,6 +17,7 @@ identical parameters always produce identical bytes.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import numbers
@@ -302,7 +303,7 @@ def scene_from_dict(doc: dict, base_dir: Path | None = None) -> Scene:
     missing = _SCENE_KEYS - {"contact_margin"} - set(doc)
     _require(not missing, f"missing scene fields: {sorted(missing)}")
     _require(doc["format"] == "pb4u-scene", f"not a scene file (format={doc.get('format')!r})")
-    _require(doc["version"] == 1, f"unsupported scene version {doc['version']!r}")
+    _require(_is_count(doc["version"]) and doc["version"] == 1, f"unsupported scene version {doc['version']!r}")
 
     mat_doc = doc["material"]
     _require(isinstance(mat_doc, dict) and set(mat_doc) == _MATERIAL_KEYS,
@@ -373,11 +374,7 @@ def scene_from_dict(doc: dict, base_dir: Path | None = None) -> Scene:
 
 # --- training configuration files ------------------------------------------
 
-_TRAIN_KEYS = {
-    "iterations", "learning_rate", "seed", "scenes", "beta1", "beta2", "epsilon",
-    "gamma", "k_base", "processor_depth", "latent_dim", "weights", "grad_clip",
-    "buffer_refresh", "rollout_steps",
-}
+_TRAIN_KEYS = {f.name for f in dataclasses.fields(TrainConfig)}
 
 
 def load_train_config(path):

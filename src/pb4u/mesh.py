@@ -123,6 +123,14 @@ class TriMesh:
         return cls(rest_positions, triangles, edges, lengths, triangle_edges, areas, lumped, material)
 
 
+def quad_triangles(ids: np.ndarray) -> np.ndarray:
+    """The two triangles of every quad of a (rows, cols) array of vertex ids,
+    quads in row-major order. A quad (a, b over c, d) splits along a-d into
+    (a, d, c), (a, b, d)."""
+    a, b, c, d = ids[:-1, :-1], ids[:-1, 1:], ids[1:, :-1], ids[1:, 1:]
+    return np.stack([a, d, c, a, b, d], axis=-1).reshape(-1, 3)
+
+
 def make_grid_cloth(n: int, side: float, material: MaterialParams) -> TriMesh:
     """n x n vertex grid in the x-z plane centered at the origin, each quad
     split along the same diagonal; counter-clockwise winding seen from +y."""
@@ -135,18 +143,7 @@ def make_grid_cloth(n: int, side: float, material: MaterialParams) -> TriMesh:
     positions = np.zeros((n * n, 3))
     positions[:, 0] = xs.reshape(-1)
     positions[:, 2] = zs.reshape(-1)
-
-    def vid(i, j):
-        return i * n + j
-
-    tris = []
-    for i in range(n - 1):
-        for j in range(n - 1):
-            v00, v10 = vid(i, j), vid(i + 1, j)
-            v01, v11 = vid(i, j + 1), vid(i + 1, j + 1)
-            tris.append((v00, v11, v10))
-            tris.append((v00, v01, v11))
-    return TriMesh.from_triangles(positions, np.array(tris, dtype=np.int64), material)
+    return TriMesh.from_triangles(positions, quad_triangles(np.arange(n * n).reshape(n, n)), material)
 
 
 def subdivide_midpoint(mesh: TriMesh) -> TriMesh:

@@ -33,7 +33,6 @@ class SimContext:
     rest: physics.RestGeometry
     scale: ScaleFactors
     k_steps: int
-    mean_edge: float
     weights: LossWeights = field(default_factory=LossWeights)
 
     @classmethod
@@ -49,8 +48,7 @@ class SimContext:
     ) -> "SimContext":
         """K follows the mesh resolution (``propagation_steps``) unless
         ``forced_k`` sets it outright."""
-        edge = mean_edge_length(scene.garment)
-        k = propagation_steps(ctrl, edge) if forced_k is None else int(forced_k)
+        k = propagation_steps(ctrl, mean_edge_length(scene.garment)) if forced_k is None else int(forced_k)
         scale = rest_scale_factors(scene.garment) if update_scaling else ScaleFactors(
             np.ones(scene.garment.vertex_count)
         )
@@ -60,7 +58,6 @@ class SimContext:
             rest=physics.build_rest_geometry(scene.garment),
             scale=scale,
             k_steps=k,
-            mean_edge=edge,
             weights=weights or LossWeights(),
         )
 
@@ -187,7 +184,7 @@ def evaluation_report(ctx: SimContext, result: RolloutResult) -> dict:
         "mesh": {
             "vertices": int(ctx.scene.garment.vertex_count),
             "triangles": int(ctx.scene.garment.triangles.shape[0]),
-            "mean_edge_length": ctx.mean_edge,
+            "mean_edge_length": mean_edge_length(ctx.scene.garment),
             "k_steps": ctx.k_steps,
         },
         "latency_ms_mean": float(np.mean(result.latencies_ms)) if result.latencies_ms else None,

@@ -17,7 +17,7 @@ import numpy as np
 from .diffcore import Tensor, add, mul
 from .errors import InvalidArgument, InvalidState
 from .graph import SimState
-from .mesh import DEFAULT_MATERIAL, MaterialParams, TriMesh, make_grid_cloth, mean_edge_length
+from .mesh import DEFAULT_MATERIAL, MaterialParams, TriMesh, make_grid_cloth, mean_edge_length, quad_triangles
 from .physics import DEFAULT_CONTACT_MARGIN
 
 DEFAULT_BODY_LAT = 12
@@ -66,32 +66,22 @@ def uv_sphere(radius: float, lat: int, lon: int, material: MaterialParams) -> Tr
     outward winding."""
     if lat < 3 or lon < 3:
         raise InvalidArgument("sphere tessellation needs lat >= 3 and lon >= 3")
-    verts = [(0.0, radius, 0.0)]
-    for i in range(1, lat):
-        theta = np.pi * i / lat
-        y = radius * np.cos(theta)
-        ring = radius * np.sin(theta)
-        for j in range(lon):
-            phi = 2.0 * np.pi * j / lon
-            verts.append((ring * np.cos(phi), y, ring * np.sin(phi)))
-    verts.append((0.0, -radius, 0.0))
-    south = len(verts) - 1
-
-    def ring_vertex(i, j):
-        return 1 + (i - 1) * lon + (j % lon)
-
-    tris = []
-    for j in range(lon):
-        tris.append((0, ring_vertex(1, j + 1), ring_vertex(1, j)))
-    for i in range(1, lat - 1):
-        for j in range(lon):
-            a, b = ring_vertex(i, j), ring_vertex(i, j + 1)
-            c, d = ring_vertex(i + 1, j), ring_vertex(i + 1, j + 1)
-            tris.append((a, d, c))
-            tris.append((a, b, d))
-    for j in range(lon):
-        tris.append((south, ring_vertex(lat - 1, j), ring_vertex(lat - 1, j + 1)))
-    return TriMesh.from_triangles(np.array(verts), np.array(tris, dtype=np.int64), material)
+    theta = np.pi * np.arange(1, lat) / lat
+    phi = 2.0 * np.pi * np.arange(lon) / lon
+    ring = (radius * np.sin(theta))[:, None]
+    rings = np.stack(np.broadcast_arrays(
+        ring * np.cos(phi), (radius * np.cos(theta))[:, None], ring * np.sin(phi)
+    ), axis=-1).reshape(-1, 3)
+    verts = np.concatenate([[(0.0, radius, 0.0)], rings, [(0.0, -radius, 0.0)]])
+    south = verts.shape[0] - 1
+    ids = 1 + np.arange((lat - 1) * lon).reshape(lat - 1, lon)
+    ids = np.concatenate([ids, ids[:, :1]], axis=1)  # first column again closes the seam
+    tris = np.concatenate([
+        np.stack(np.broadcast_arrays(0, ids[0, 1:], ids[0, :-1]), axis=1),
+        quad_triangles(ids),
+        np.stack(np.broadcast_arrays(south, ids[-1, :-1], ids[-1, 1:]), axis=1),
+    ])
+    return TriMesh.from_triangles(verts, tris, material)
 
 
 @dataclass

@@ -196,6 +196,19 @@ def test_scene_roundtrip_and_validation(tmp_path):
         pio.scene_from_dict(doc_pen)
 
 
+@pytest.mark.parametrize("version", [True, 1.0, "1", 2])
+def test_scene_version_must_be_the_integer_one(tmp_path, capsys, version):
+    """JSON true and 1.0 compare equal to 1 in Python; neither is version 1."""
+    doc = drape_sphere_preset(4, frames=4)
+    doc["version"] = version
+    pio.save_scene(doc, tmp_path / "scene.json")
+    with pytest.raises(FormatError, match="unsupported scene version"):
+        pio.load_scene(tmp_path / "scene.json")
+    (tmp_path / "train.json").write_text(json.dumps({"scenes": ["scene.json"], "iterations": 1}))
+    assert main(["train", "--config", str(tmp_path / "train.json"), "--out", str(tmp_path / "m.ckpt")]) == 2
+    assert "unsupported scene version" in capsys.readouterr().err
+
+
 def test_hang_preset_loads_with_pins(tmp_path):
     doc = hang_pinned_preset(6, frames=10)
     path = tmp_path / "hang.json"
