@@ -85,7 +85,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--ckpt", required=True)
     p.add_argument("--scene", required=True)
     p.add_argument("--k-range", required=True, help="A:B inclusive")
-    p.add_argument("--frames", type=_frame_count, default=10)
+    p.add_argument("--frames", type=_int_at_least(1), default=10)
     p.add_argument("--out", required=True)
     p.set_defaults(run=_cmd_sweep_k)
 
@@ -104,17 +104,23 @@ def _build_parser() -> _Parser:
 def _rollout_flags(p) -> None:
     p.add_argument("--ckpt", required=True)
     p.add_argument("--scene", required=True)
-    p.add_argument("--frames", type=_frame_count, required=True)
+    p.add_argument("--frames", type=_int_at_least(1), required=True)
     p.add_argument("--no-adaptive-k", action="store_true", help="force K = K_base regardless of resolution")
     p.add_argument("--no-update-scaling", action="store_true", help="disable per-vertex acceleration scaling")
-    p.add_argument("--forced-k", type=int, default=None, help="override the propagation depth outright")
+    p.add_argument("--forced-k", type=_int_at_least(0), default=None, help="override the propagation depth outright")
 
 
-def _frame_count(text: str) -> int:
-    frames = int(text)
-    if frames < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {frames}")
-    return frames
+def _int_at_least(least: int):
+    """argparse type for an integer flag that must be >= ``least``."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < least:
+            raise argparse.ArgumentTypeError(f"must be >= {least}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in its "invalid int value" message
+    return parse
 
 
 # each comparison is false for nan
@@ -137,7 +143,6 @@ def _load_model(ckpt_path):
     config = net.NetworkConfig(
         latent_dim=params.latent_dim,
         gamma=meta["gamma"],
-        k_steps=int(meta["k_base"]),
         processor_depth=len(params.blocks),
     )
     ctrl = calibrate(int(meta["k_base"]), meta["l_base"])
@@ -231,13 +236,8 @@ def _cmd_sweep_k(args) -> int:
         threads = max(1, int(threads_text))
     except ValueError as exc:
         raise UsageError(f"PB4U_THREADS must be an integer, got {threads_text!r}") from exc
-    ks = list(range(lo, hi + 1))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(evaluate, ks))
-    else:
-        rows = [evaluate(k) for k in ks]
-    rows.sort(key=lambda r: r[0])
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        rows = list(pool.map(evaluate, range(lo, hi + 1)))
     with open(args.out, "w", newline="\n") as fh:
         fh.write("k,total\n")
         for k, total, _ in rows:

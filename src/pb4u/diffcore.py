@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import contextlib
 import contextvars
+import math
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -108,20 +109,9 @@ def _record(out: Tensor, parents: tuple[Tensor, ...], pull: Callable[[np.ndarray
 
 
 def _acc(t: Tensor, g: np.ndarray) -> None:
-    """Accumulate a gradient that may alias caller-owned memory."""
-    if not t.tracked:
-        return
-    if g.shape != t.data.shape:
-        g = np.broadcast_to(g, t.data.shape)
-    if t.grad is None:
-        t.grad = np.array(g, dtype=t.data.dtype)
-    else:
-        t.grad += g
-
-
-def _acc_owned(t: Tensor, g: np.ndarray) -> None:
-    """Accumulate a freshly allocated gradient; ownership transfers, so the
-    first write skips the defensive copy."""
+    """Accumulate a gradient into a tracked tensor. Ownership of ``g``
+    transfers: the first write keeps the array itself, so a pull must hand
+    over memory that nothing else holds or will write to."""
     if not t.tracked:
         return
     if t.grad is None:
@@ -148,7 +138,8 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
     def pull(g):
         _acc(a, _reduce_to(g, a.data.shape))
-        _acc(b, _reduce_to(g, b.data.shape))
+        # a may own g now; b gets its own array
+        _acc(b, _reduce_to(g, b.data.shape).copy())
 
     return _record(out, (a, b), pull)
 
@@ -169,8 +160,8 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     out = Tensor(a.data * b.data)
 
     def pull(g):
-        _acc_owned(a, _reduce_to(g * b.data, a.data.shape))
-        _acc_owned(b, _reduce_to(g * a.data, b.data.shape))
+        _acc(a, _reduce_to(g * b.data, a.data.shape))
+        _acc(b, _reduce_to(g * a.data, b.data.shape))
 
     return _record(out, (a, b), pull)
 
@@ -202,9 +193,9 @@ def affine(x: Tensor, w: Tensor, b: Tensor, relu: bool = False) -> Tensor:
     def pull(g):
         if relu:
             g = g * (out.data > 0)
-        _acc_owned(x, g @ w.data.T)
-        _acc_owned(w, x.data.T @ g)
-        _acc_owned(b, g.sum(axis=0))
+        _acc(x, g @ w.data.T)
+        _acc(w, x.data.T @ g)
+        _acc(b, g.sum(axis=0))
 
     return _record(out, (x, w, b), pull)
 
@@ -213,7 +204,7 @@ def relu(x: Tensor) -> Tensor:
     out = Tensor(np.maximum(x.data, 0))
 
     def pull(g):
-        _acc_owned(x, g * (x.data > 0))
+        _acc(x, g * (x.data > 0))
 
     return _record(out, (x,), pull)
 
@@ -235,7 +226,7 @@ def concat(parts: Sequence[Tensor], axis: int) -> Tensor:
         for p, size in zip(parents, sizes):
             sl = [slice(None)] * g.ndim
             sl[axis] = slice(start, start + size)
-            _acc(p, g[tuple(sl)])
+            _acc(p, g[tuple(sl)].copy())
             start += size
 
     return _record(out, parents, pull)
@@ -251,21 +242,20 @@ def sum_all(x: Tensor) -> Tensor:
 
 
 def segment_sum(values: np.ndarray, index: np.ndarray, size: int) -> np.ndarray:
-    """out[i] = sum of the rows values[r] with index[r] == i, for 1-D or 2-D
-    values; the program's one scatter-add over plain arrays.
+    """out[i] = sum of the rows values[r] with index[r] == i, for values of
+    any rank (zero rows included); the program's one scatter-add over plain
+    arrays.
 
     Each output slot accumulates sequentially in row order (independent of
     the other slots) at float64, so the sums are deterministic and match a
     per-destination loop over the rows exactly; the result has the dtype of
     ``values``.
     """
-    if values.ndim == 1:
-        out = np.bincount(index, weights=values, minlength=size)
-        return out.astype(values.dtype, copy=False)
-    width = values.shape[1]
+    row_shape = values.shape[1:]
+    width = math.prod(row_shape)
     flat = (index[:, None] * width + np.arange(width, dtype=np.int64)).reshape(-1)
     out = np.bincount(flat, weights=values.reshape(-1), minlength=size * width)
-    return out.reshape(size, width).astype(values.dtype, copy=False)
+    return out.reshape((size,) + row_shape).astype(values.dtype, copy=False)
 
 
 def gather(x: Tensor, index) -> Tensor:
@@ -277,7 +267,7 @@ def gather(x: Tensor, index) -> Tensor:
     out = Tensor(x.data[index])
 
     def pull(g):
-        _acc_owned(x, segment_sum(g, index, x.data.shape[0]))
+        _acc(x, segment_sum(g, index, x.data.shape[0]))
 
     return _record(out, (x,), pull)
 
@@ -291,7 +281,7 @@ def scatter_add(values: Tensor, index, size: int) -> Tensor:
     out = Tensor(segment_sum(values.data, index, size))
 
     def pull(g):
-        _acc_owned(values, g[index])
+        _acc(values, g[index])
 
     return _record(out, (values,), pull)
 
@@ -312,12 +302,12 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     out = Tensor(xhat * gain.data + bias.data)
 
     def pull(g):
-        _acc_owned(gain, (g * xhat).sum(axis=0))
-        _acc_owned(bias, g.sum(axis=0))
+        _acc(gain, (g * xhat).sum(axis=0))
+        _acc(bias, g.sum(axis=0))
         gx = g * gain.data
         row_sum = gx.sum(axis=-1, keepdims=True)
         row_dot = (gx * xhat).sum(axis=-1, keepdims=True)
-        _acc_owned(x, (inv / width) * (width * gx - row_sum - xhat * row_dot))
+        _acc(x, (inv / width) * (width * gx - row_sum - xhat * row_dot))
 
     return _record(out, (x, gain, bias), pull)
 

@@ -47,9 +47,12 @@ def save_checkpoint(params: ModelParams, path, meta: dict[str, float] | None = N
     """Write model tensors plus scalar metadata in the canonical container
     layout. Meta scalars are float64 values stored bit-exactly as two f32
     lanes under ``meta.``, so quantities like the calibration edge length
-    survive the round trip without rounding."""
+    survive the round trip without rounding. A value that is a bool or not a
+    real number is ``InvalidArgument``; nan and inf are stored as given."""
     named = _named_arrays(params)
     for key, value in (meta or {}).items():
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise InvalidArgument(f"checkpoint meta.{key} must be a real number, got {value!r}")
         named[f"meta.{key}"] = np.frombuffer(np.float64(value).tobytes(), dtype="<f4").copy()
     save_tensors(named, path)
 

@@ -26,7 +26,9 @@ from .mesh import ScaleFactors, TriMesh
 class NetworkConfig:
     latent_dim: int = 128
     gamma: float = 0.9          # decay of earlier aggregated messages
-    k_steps: int = 8            # fallback propagation depth when not adaptive
+    # nothing reads k_steps (K comes from ControlConfig); deleting it waits on
+    # a change that may edit perfbench/, which sets it (ROADMAP item 5)
+    k_steps: int = 8
     processor_depth: int = 3    # residual refinement blocks after the update
 
     def __post_init__(self):
@@ -186,8 +188,6 @@ def propagate(latent: LatentGraph, k_steps: int, gamma: float, params: ModelPara
         raise InvalidArgument(f"k_steps must be >= 0, got {k_steps}")
     n_g = latent.garment_count
     h_garment = dc.gather(latent.V, np.arange(n_g))
-    if k_steps == 0:
-        return h_garment
     n_total = latent.V.data.shape[0]
     if latent.receivers.size and latent.receivers.max() >= n_g:
         raise InvalidArgument("message receivers must be garment vertices")

@@ -188,8 +188,6 @@ def bending_energy(positions: Tensor, rest: RestGeometry, material) -> Tensor:
     """Hinge bending: sum over interior edges of
     coeff * (rest_len / (A1 + A2)) * (theta - theta_rest)^2 with theta the
     signed dihedral angle (zero when flat)."""
-    if rest.hinges.shape[0] == 0:
-        return Tensor(np.asarray(0.0, positions.dtype))
     dtype = positions.dtype
     dev = dc.sub(dihedral_angles(positions, rest.hinges), Tensor(rest.rest_dihedrals.astype(dtype)))
     weights = (material.bending_coeff * rest.hinge_weights).astype(dtype)
@@ -226,8 +224,6 @@ def collision_penalty(
     positions = np.asarray(garment_pos.data, dtype=np.float64)
     g_idx, b_idx = nearest_contacts(positions, body_pos, pairs)
     dtype = garment_pos.dtype
-    if g_idx.shape[0] == 0:
-        return Tensor(np.asarray(0.0, dtype))
     xg = dc.gather(garment_pos, g_idx)
     xb = Tensor(body_pos[b_idx].astype(dtype))
     normals = Tensor(body_normals[b_idx].astype(dtype))
@@ -265,8 +261,6 @@ def friction_penalty(
     depth = ((state.garment_pos[g_idx] - state.body_pos[b_idx]) * normals).sum(axis=1)
     touching = depth < margin
     g_idx, normals = g_idx[touching], normals[touching]
-    if g_idx.shape[0] == 0:
-        return Tensor(np.asarray(0.0, dtype))
     disp = dc.sub(dc.gather(pred_pos, g_idx), Tensor(state.garment_pos[g_idx].astype(dtype)))
     n_const = Tensor(normals.astype(dtype))
     tangential = dc.sub(disp, dc.scale_rows(n_const, dc.dot(disp, n_const)))

@@ -82,7 +82,6 @@ class TrainConfig:
         return net.NetworkConfig(
             latent_dim=self.latent_dim,
             gamma=self.gamma,
-            k_steps=self.k_base,
             processor_depth=self.processor_depth,
         )
 

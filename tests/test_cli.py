@@ -277,6 +277,20 @@ def test_frames_below_one_is_a_usage_error(workdir, tmp_path, capsys, command, f
     assert list(tmp_path.iterdir()) == []
 
 
+# was an InvalidArgument raised by propagate after the model and scene loaded;
+# the checkpoint here does not exist, so only a parse-time check gives exit 1
+@pytest.mark.parametrize("command, rest", [
+    ("rollout", ["--out-dir", "{tmp}/frames", "--metrics", "{tmp}/m.csv"]),
+    ("eval", ["--report", "{tmp}/r.json"]),
+])
+def test_forced_k_below_zero_is_a_usage_error(tmp_path, capsys, command, rest):
+    args = [command, "--ckpt", str(tmp_path / "missing.ckpt"), "--scene", str(tmp_path / "missing.json"),
+            "--frames", "1", "--forced-k", "-1"] + [arg.format(tmp=tmp_path) for arg in rest]
+    assert main(args) == 1
+    assert capsys.readouterr().err == "usage error: argument --forced-k: must be >= 0, got -1\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_gradcheck_passes():
     assert main(["gradcheck", "--seed", "3"]) == 0
 

@@ -178,15 +178,17 @@ def test_every_primitive_matches_finite_differences(name):
 
 def test_scatter_add_matches_loop_oracle_exactly():
     r = rng(7)
-    vals = r.normal(size=(20, 3))
-    idx = r.integers(0, 6, size=20)
-    got = dc.scatter_add(dc.Tensor(vals), idx, 6).data
-    expected = np.zeros((6, 3))
-    for dest in range(6):  # ascending-destination accumulation, same as the op
-        for row in range(20):
-            if idx[row] == dest:
-                expected[dest] += vals[row]
-    assert np.array_equal(got, expected)
+    for shape in [(20, 3), (20,), (0, 3), (0,)]:  # 2-D, 1-D and zero-row values
+        vals = r.normal(size=shape)
+        idx = r.integers(0, 6, size=shape[0])
+        got = dc.scatter_add(dc.Tensor(vals), idx, 6).data
+        expected = np.zeros((6,) + shape[1:])
+        for dest in range(6):  # ascending-destination accumulation, same as the op
+            for row in range(shape[0]):
+                if idx[row] == dest:
+                    expected[dest] += vals[row]
+        assert got.shape == expected.shape
+        assert np.array_equal(got, expected)
 
 
 def test_scatter_then_gather_roundtrips_per_index_sums():
@@ -289,6 +291,42 @@ def test_fused_relu_network_gradients_match_unfused_oracle_bitwise(monkeypatch):
     for key in oracle:
         assert oracle[key] is not None, key
         assert np.array_equal(fused[key], oracle[key]), key
+
+
+def _assert_no_shared_memory(grads):
+    for i, a in enumerate(grads):
+        for b in grads[i + 1:]:
+            assert not np.shares_memory(a, b)
+
+
+def test_gradients_own_their_memory():
+    """A pull hands _acc an array nobody else holds, so after backward no two
+    tracked tensors share gradient memory, and a tensor used twice gets
+    exactly twice the upstream gradient."""
+    r = rng(12)
+    a, b = leaf(r.normal(size=(4, 3))), leaf(r.normal(size=(4, 3)))
+    c = dc.Tensor(r.normal(size=(4, 3)))
+    run_backward(lambda a, b: dc.sum_all(dc.mul(dc.add(a, b), c)), a, b)
+    _assert_no_shared_memory([a.grad, b.grad])
+    assert np.array_equal(a.grad, c.data) and np.array_equal(b.grad, c.data)
+
+    x, y = leaf(r.normal(size=(4, 3))), leaf(r.normal(size=(4, 2)))
+    wide = dc.Tensor(r.normal(size=(4, 8)))
+    run_backward(lambda x, y: dc.sum_all(dc.mul(dc.concat([x, y, x], axis=1), wide)), x, y)
+    _assert_no_shared_memory([x.grad, y.grad])
+    assert np.array_equal(x.grad, wide.data[:, :3] + wide.data[:, 5:])
+
+    g = r.normal(size=(4, 3))
+    x = leaf(r.normal(size=(4, 3)))
+    run_backward(lambda x: dc.sum_all(dc.mul(dc.add(x, x), dc.Tensor(g))), x)
+    assert np.array_equal(x.grad, 2 * g)
+    x = leaf(r.normal(size=(4, 3)))
+    run_backward(lambda x: dc.sum_all(dc.mul(dc.concat([x, x], axis=0), dc.Tensor(np.concatenate([g, g])))), x)
+    assert np.array_equal(x.grad, 2 * g)
+
+    grads, _ = _network_step_gradients()
+    assert all(grad is not None for grad in grads.values())
+    _assert_no_shared_memory(list(grads.values()))
 
 
 def test_tape_is_per_thread():

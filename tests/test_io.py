@@ -14,7 +14,7 @@ from pb4u import io as pio
 from pb4u import network as net
 from pb4u.cli import main
 from pb4u.diffcore import Tensor
-from pb4u.errors import ConfigMismatch, FormatError, IoError
+from pb4u.errors import ConfigMismatch, FormatError, InvalidArgument, IoError
 from pb4u.graph import SimGraph
 from pb4u.mesh import ScaleFactors
 from pb4u.scenes import Scene, drape_sphere_preset, hang_pinned_preset
@@ -40,6 +40,16 @@ def test_roundtrip_bitwise(tmp_path):
     assert meta["gamma"] == 0.9
     assert meta["l_base"] == 0.05  # meta scalars round-trip at full precision
     assert len(loaded.blocks) == 2
+
+
+# True was stored as 1.0 and loaded as gamma 1.0 / k_base 1; a string
+# escaped as a bare numpy ValueError
+@pytest.mark.parametrize("value", [True, False, np.True_, "0.9", None])
+def test_checkpoint_meta_must_be_a_real_number(tmp_path, value):
+    path = tmp_path / "model.ckpt"
+    with pytest.raises(InvalidArgument, match="meta.gamma"):
+        pio.save_checkpoint(small_params(), path, meta={"gamma": value, "k_base": 8, "l_base": 0.05})
+    assert not path.exists()
 
 
 def test_canonical_serialization(tmp_path):

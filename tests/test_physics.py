@@ -21,6 +21,20 @@ def unit_right_triangle():
     return TriMesh.from_triangles(positions, np.array([[0, 2, 1]]), MAT)
 
 
+def assert_zero_through_tape(energy, positions):
+    """``energy`` of tracked ``positions`` is an exact 0 in their dtype at
+    float32 and float64, recorded on the tape, and backward gives an all-zero
+    gradient."""
+    for dtype in (np.float32, np.float64):
+        x = Tensor(positions, track=True, dtype=dtype)
+        tape = dc.Tape()
+        with dc.recording(tape):
+            e = energy(x)
+        assert e.dtype == dtype and e.shape == () and e.item() == 0.0
+        tape.backward(e)
+        assert x.grad is not None and x.grad.dtype == dtype and not x.grad.any()
+
+
 def test_stretch_zero_at_rest_exactly():
     grid = make_grid_cloth(4, 1.0, MAT)
     rest = physics.build_rest_geometry(grid)
@@ -55,6 +69,10 @@ def test_bending_zero_for_flat_rest_exactly():
     rest = physics.build_rest_geometry(grid)
     e = physics.bending_energy(Tensor(grid.rest_positions.copy()), rest, MAT)
     assert e.item() == 0.0
+    tri = unit_right_triangle()  # no interior edge, so no hinge
+    tri_rest = physics.build_rest_geometry(tri)
+    assert tri_rest.hinges.shape == (0, 4)
+    assert_zero_through_tape(lambda x: physics.bending_energy(x, tri_rest, MAT), 2.0 * tri.rest_positions)
 
 
 def hinge_mesh():
@@ -100,6 +118,10 @@ def test_collision_inactive_outside_margin():
     normals = np.array([[0.0, 1.0, 0.0]])
     e = physics.collision_penalty(garment, body, normals, build_world_edges(garment.data, body, 0.2), margin=1e-3)
     assert e.item() == 0.0
+    far = body + np.array([[0.0, 1.0, 0.0]])  # outside the search radius: no pairs
+    pairs = build_world_edges(garment.data, far, 0.2)
+    assert pairs.shape == (0, 2)
+    assert_zero_through_tape(lambda x: physics.collision_penalty(x, far, normals, pairs), garment.data)
 
 
 def test_collision_single_pair_closed_form():
@@ -194,6 +216,14 @@ def test_friction_zero_without_contacts():
     pred = Tensor(far.garment_pos + 0.01)
     e = physics.friction_penalty(pred, far, _pairs(far, 0.1), np.array([[0.0, 1.0, 0.0]]), np.ones(1), 0.7)
     assert e.item() == 0.0
+    # a pair within the search radius but not touching: depth 0.05 >= margin
+    above = dataclasses.replace(state, garment_pos=state.garment_pos + np.array([0.0, 0.05, 0.0]))
+    pairs = _pairs(above, 0.1)
+    assert pairs.shape == (1, 2)
+    assert_zero_through_tape(
+        lambda x: physics.friction_penalty(x, above, pairs, np.array([[0.0, 1.0, 0.0]]), np.ones(1), 0.7),
+        above.garment_pos + 0.01,
+    )
 
 
 def test_friction_normal_motion_free():
