@@ -111,7 +111,9 @@ def _record(out: Tensor, parents: tuple[Tensor, ...], pull: Callable[[np.ndarray
 def _acc(t: Tensor, g: np.ndarray) -> None:
     """Accumulate a gradient into a tracked tensor. Ownership of ``g``
     transfers: the first write keeps the array itself, so a pull must hand
-    over memory that nothing else holds or will write to."""
+    over memory that nothing else holds or will write to. An untracked
+    tensor takes nothing; pulls check ``tracked`` first where computing its
+    gradient would cost a product or a copy."""
     if not t.tracked:
         return
     if t.grad is None:
@@ -138,8 +140,8 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
     def pull(g):
         _acc(a, _reduce_to(g, a.data.shape))
-        # a may own g now; b gets its own array
-        _acc(b, _reduce_to(g, b.data.shape).copy())
+        if b.tracked:   # a may own g now; b gets its own array
+            _acc(b, _reduce_to(g, b.data.shape).copy())
 
     return _record(out, (a, b), pull)
 
@@ -160,8 +162,10 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     out = Tensor(a.data * b.data)
 
     def pull(g):
-        _acc(a, _reduce_to(g * b.data, a.data.shape))
-        _acc(b, _reduce_to(g * a.data, b.data.shape))
+        if a.tracked:
+            _acc(a, _reduce_to(g * b.data, a.data.shape))
+        if b.tracked:
+            _acc(b, _reduce_to(g * a.data, b.data.shape))
 
     return _record(out, (a, b), pull)
 
@@ -193,7 +197,8 @@ def affine(x: Tensor, w: Tensor, b: Tensor, relu: bool = False) -> Tensor:
     def pull(g):
         if relu:
             g = g * (out.data > 0)
-        _acc(x, g @ w.data.T)
+        if x.tracked:   # not for an encoder's feature input
+            _acc(x, g @ w.data.T)
         _acc(w, x.data.T @ g)
         _acc(b, g.sum(axis=0))
 
@@ -241,6 +246,15 @@ def sum_all(x: Tensor) -> Tensor:
     return _record(out, (x,), pull)
 
 
+# Row width from which segment_sum adds by slot rank instead of by bincount.
+# Per call, 2-core host: on rollout-fine's 13151 edges (in-degree up to 12),
+# width 16 took 3.2 ms with bincount and 1.3 ms by rank, width 128 13.7 and
+# 4.8 ms; on the 6050-vertex body sphere's triangle corners (a pole of
+# in-degree 96), width 3 took 1.0 and 3.3 ms, width 16 3.2 and 4.5 ms,
+# width 32 7.5 and 6.3 ms.
+WIDE_ROWS = 32
+
+
 def segment_sum(values: np.ndarray, index: np.ndarray, size: int) -> np.ndarray:
     """out[i] = sum of the rows values[r] with index[r] == i, for values of
     any rank (zero rows included); the program's one scatter-add over plain
@@ -249,13 +263,30 @@ def segment_sum(values: np.ndarray, index: np.ndarray, size: int) -> np.ndarray:
     Each output slot accumulates sequentially in row order (independent of
     the other slots) at float64, so the sums are deterministic and match a
     per-destination loop over the rows exactly; the result has the dtype of
-    ``values``.
+    ``values``. Rows narrower than ``WIDE_ROWS`` go through one ``bincount``
+    over a flat index; wider rows are grouped by slot and added by rank: the
+    j-th pass adds the j-th row of every slot that has one, with slots
+    ranked by row count so that each pass is one leading block.
     """
     row_shape = values.shape[1:]
     width = math.prod(row_shape)
-    flat = (index[:, None] * width + np.arange(width, dtype=np.int64)).reshape(-1)
-    out = np.bincount(flat, weights=values.reshape(-1), minlength=size * width)
-    return out.reshape((size,) + row_shape).astype(values.dtype, copy=False)
+    if width < WIDE_ROWS:
+        flat = (index[:, None] * width + np.arange(width, dtype=np.int64)).reshape(-1)
+        out = np.bincount(flat, weights=values.reshape(-1), minlength=size * width)
+        return out.reshape((size,) + row_shape).astype(values.dtype, copy=False)
+    rows = values.reshape(values.shape[0], width)
+    order = np.argsort(index, kind="stable")        # rows grouped by slot, each group in row order
+    counts = np.bincount(index, minlength=size)
+    rank = np.argsort(-counts, kind="stable")       # slots by row count, most first
+    ranked = counts[rank]
+    first = (np.cumsum(counts) - counts)[rank]      # where each ranked slot's group starts in order
+    acc = np.zeros((size, width))
+    # pass j adds to the leading slots that have more than j rows
+    for j, n in enumerate(np.searchsorted(-ranked, -np.arange(counts.max(initial=0)))):
+        acc[:n] += rows[order[first[:n] + j]]
+    out = np.empty((size, width), dtype=values.dtype)
+    out[rank] = acc
+    return out.reshape((size,) + row_shape)
 
 
 def gather(x: Tensor, index) -> Tensor:
@@ -284,6 +315,59 @@ def scatter_add(values: Tensor, index, size: int) -> Tensor:
         _acc(values, g[index])
 
     return _record(out, (values,), pull)
+
+
+def gather_concat(parts: Sequence[tuple[Sequence[Tensor], np.ndarray | None]]) -> Tensor:
+    """Edge-input matrix: ``concat([gather(concat(sources, axis=0), index)
+    for sources, index in parts], axis=1)``, where a part with index None
+    takes its stacked sources' rows as they are.
+
+    The sources are 2-D, of one width and one dtype. Their distinct arrays
+    are stacked by rows in one table, and one ``gather`` on that untracked
+    table reads every column block; neither the table nor a gathered part is
+    kept. Data and gradients equal the gather/concat nodes' bit for bit: the
+    pull walks the parts in reverse, sums each column block with
+    ``segment_sum`` (a part with no index copies it) and accumulates the sum
+    into the part's sources in order.
+    """
+    if not parts or not all(srcs for srcs, _ in parts):
+        raise InvalidArgument("gather_concat: need at least one part, each with a source")
+    sources = list({id(s): s for srcs, _ in parts for s in srcs}.values())   # distinct, in first-use order
+    first = sources[0].data
+    if any(s.data.ndim != 2 or s.data.shape[1] != first.shape[1] or s.data.dtype != first.dtype
+           for s in sources):
+        raise InvalidArgument("gather_concat: sources must be 2-D, of one width and one dtype")
+    width = first.shape[1]
+    table_start = dict(zip(map(id, sources), np.cumsum([0] + [s.data.shape[0] for s in sources])))
+    plans, columns = [], []
+    for srcs, index in parts:
+        srcs = tuple(srcs)
+        rows = np.concatenate([table_start[id(s)] + np.arange(s.data.shape[0]) for s in srcs])
+        if index is not None:
+            index = np.asarray(index, dtype=np.int64)
+            if index.ndim != 1 or (index.size and (index.min() < 0 or index.max() >= rows.size)):
+                raise InvalidArgument("gather_concat: index must be 1-D and within its sources' rows")
+            rows = rows[index]
+        plans.append((srcs, index))
+        columns.append(rows)
+    if any(c.size != columns[0].size for c in columns):
+        raise InvalidArgument("gather_concat: parts have different row counts")
+    table = Tensor(np.concatenate([s.data for s in sources]))
+    looked_up = gather(table, np.stack(columns, axis=1).reshape(-1)).data
+    out = Tensor(looked_up.reshape(columns[0].size, len(parts) * width))
+
+    def pull(g):
+        for j in reversed(range(len(plans))):
+            srcs, index = plans[j]
+            block = g[:, j * width:(j + 1) * width]
+            summed = block.copy() if index is None else segment_sum(
+                block, index, sum(s.data.shape[0] for s in srcs))
+            start = 0
+            for s in srcs:
+                _acc(s, summed[start:start + s.data.shape[0]])
+                start += s.data.shape[0]
+
+    return _record(out, tuple(sources), pull)
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:

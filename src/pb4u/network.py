@@ -194,9 +194,10 @@ def propagate(latent: LatentGraph, k_steps: int, gamma: float, params: ModelPara
     h_body = dc.gather(latent.V, np.arange(n_g, n_total))
     for _ in range(k_steps):
         h_full = dc.concat([h_garment, h_body], axis=0)
-        h_dst = dc.gather(h_full, latent.receivers)
-        h_src = dc.gather(h_full, latent.senders)
-        messages = params.message_fn(dc.concat([h_dst, h_src, latent.E], axis=1))
+        # passed straight to the MLP so no local keeps it alive into the next round
+        # (rollout; a training tape keeps it for the weight gradient)
+        messages = params.message_fn(dc.gather_concat(
+            [([h_full], latent.receivers), ([h_full], latent.senders), ([latent.E], None)]))
         aggregated = dc.scatter_add(messages, latent.receivers, n_g)
         normalized = dc.layer_norm(aggregated, params.norm_gain, params.norm_bias)
         h_garment = dc.add(dc.mul(h_garment, Tensor(gamma, dtype=h_garment.dtype)), normalized)
@@ -216,9 +217,8 @@ def process(latent: LatentGraph, v: Tensor, params: ModelParams) -> Tensor:
     v_body = dc.gather(latent.V, np.arange(n_g, latent.V.data.shape[0]))
     e = latent.E
     for block in params.blocks:
-        v_dst = dc.gather(v, latent.receivers)
-        v_src = dc.gather(dc.concat([v, v_body], axis=0), latent.senders)
-        e = dc.add(e, block.edge_mlp(dc.concat([e, v_dst, v_src], axis=1)))
+        e = dc.add(e, block.edge_mlp(dc.gather_concat(
+            [([e], None), ([v], latent.receivers), ([v, v_body], latent.senders)])))
         incoming = dc.scatter_add(e, latent.receivers, n_g)
         v = dc.add(v, block.vertex_mlp(dc.concat([v, incoming], axis=1)))
     return v

@@ -16,6 +16,7 @@ from pb4u import network as net
 from pb4u import io as pio
 from pb4u.control import calibrate
 from pb4u.errors import InvalidArgument, NumericFailure
+from pb4u.graph import build_graph
 from pb4u.mesh import mean_edge_length
 from pb4u.rollout import SimContext, advance, frame_loss
 from pb4u.scenes import drape_sphere_preset
@@ -127,6 +128,13 @@ def _random_inputs(name, r):
         idx = np.array([4, 0, 0, 2, 3, 1])
         c = dc.Tensor(r.normal(size=(6, d)))
         return lambda x: dc.sum_all(dc.mul(dc.gather(x, idx), c)), [a]
+    if name == "gather_concat":
+        # a source in two parts, a two-source part and a part with no index
+        a, b, e = leaf(r.normal(size=(4, 3))), leaf(r.normal(size=(2, 3))), leaf(r.normal(size=(6, 3)))
+        first, second = np.array([5, 0, 4, 4, 1, 3]), np.array([3, 3, 0, 2, 1, 0])
+        c = dc.Tensor(r.normal(size=(6, 9)))
+        return lambda x, y, z: dc.sum_all(dc.mul(
+            dc.gather_concat([([x, y], first), ([z], None), ([x], second)]), c)), [a, b, e]
     if name == "scatter_add":
         a = leaf(r.normal(size=(6, d)))
         idx = np.array([2, 0, 2, 1, 0, 2])
@@ -165,7 +173,7 @@ def _random_inputs(name, r):
 
 PRIMITIVES = [
     "add", "sub", "mul", "div", "scalar_mix", "affine", "affine_relu", "relu", "concat",
-    "sum", "gather", "scatter_add", "layer_norm", "sqrt", "dot", "cross3",
+    "sum", "gather", "gather_concat", "scatter_add", "layer_norm", "sqrt", "dot", "cross3",
     "pow3", "atan2", "scale_rows",
 ]
 
@@ -189,6 +197,112 @@ def test_scatter_add_matches_loop_oracle_exactly():
                     expected[dest] += vals[row]
         assert got.shape == expected.shape
         assert np.array_equal(got, expected)
+
+
+def _segment_sum_loop(values, index, size):
+    """Per-destination loop: each slot adds its rows in row order at float64."""
+    out = np.zeros((size,) + values.shape[1:])
+    for dest in range(size):
+        for row in np.flatnonzero(index == dest):
+            out[dest] += values[row]
+    return out.astype(values.dtype)
+
+
+@st.composite
+def _segment_sum_cases(draw):
+    """Values on both sides of the wide-row threshold, 1-D, 3-D and
+    column-slice values, a slot of in-degree >= 96, empty slots, zero rows
+    and size 0, float32 and float64, with signed zeros."""
+    r = rng(draw(st.integers(0, 2**32 - 1)))
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    size = draw(st.integers(0, 12))
+    n = draw(st.sampled_from([0, 1, 7, 40])) if size else 0
+    index = r.integers(0, size, size=n) if size else np.zeros(0, dtype=np.int64)
+    if size and draw(st.booleans()):   # a hub slot, as at the body sphere's pole
+        index = r.permutation(np.concatenate([index, np.full(draw(st.integers(96, 130)), r.integers(size))]))
+    n = index.size
+    layout = draw(st.sampled_from(["1-D", "narrow", "threshold-1", "threshold", "wide", "3-D", "slice"]))
+    if layout == "1-D":
+        values = r.normal(size=n).astype(dtype)
+    elif layout == "3-D":
+        values = r.normal(size=(n, 4, dc.WIDE_ROWS // 4 + 1)).astype(dtype)
+    elif layout == "slice":   # strided columns of a wider array
+        values = r.normal(size=(n, 3 * dc.WIDE_ROWS)).astype(dtype)[:, 1::3]
+    else:
+        width = {"narrow": 3, "threshold-1": dc.WIDE_ROWS - 1, "threshold": dc.WIDE_ROWS,
+                 "wide": dc.WIDE_ROWS + 13}[layout]
+        values = r.normal(size=(n, width)).astype(dtype)
+    zeros = r.random(values.shape) < draw(st.sampled_from([0.0, 0.3, 1.0]))
+    values[zeros] = np.where(r.random(values.shape) < 0.5, -0.0, 0.0)[zeros]
+    return values, index, size
+
+
+@settings(max_examples=150, deadline=None)
+@given(_segment_sum_cases())
+def test_segment_sum_matches_loop_oracle_bitwise(case):
+    values, index, size = case
+    got = dc.segment_sum(values, index, size)
+    expected = _segment_sum_loop(values, index, size)
+    assert got.dtype == values.dtype and got.shape == expected.shape
+    assert got.tobytes() == expected.tobytes()   # signed zeros included
+
+
+def _propagate_inputs(fused, graph, h_garment, h_body, e):
+    h_full = dc.concat([h_garment, h_body], axis=0)
+    if fused:
+        return dc.gather_concat([([h_full], graph.receivers), ([h_full], graph.senders), ([e], None)])
+    return dc.concat([dc.gather(h_full, graph.receivers), dc.gather(h_full, graph.senders), e], axis=1)
+
+
+def _process_inputs(fused, graph, v, v_body, e):
+    if fused:
+        return dc.gather_concat([([e], None), ([v], graph.receivers), ([v, v_body], graph.senders)])
+    v_dst = dc.gather(v, graph.receivers)
+    v_src = dc.gather(dc.concat([v, v_body], axis=0), graph.senders)
+    return dc.concat([e, v_dst, v_src], axis=1)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("build", [_propagate_inputs, _process_inputs], ids=["propagate", "process"])
+def test_gather_concat_matches_gather_concat_nodes_bitwise(build, dtype):
+    """Forward data and every source gradient of the op (fused) and of the
+    gather/concat nodes it replaces, on a drape frame with world edges."""
+    scene = pio.scene_from_dict(drape_sphere_preset(6, frames=4))
+    graph = build_graph(scene.initial_state(), scene.garment, scene.body_mesh, scene.world_radius, dtype=dtype)
+    assert graph.world_edges.shape[0] > 0
+    width = 2 * dc.WIDE_ROWS   # the pull's sums take the wide-row path
+    n_g, n_total, n_edges = graph.garment_count, graph.vertex_features.shape[0], graph.receivers.size
+    results = []
+    for fused in (True, False):
+        r = rng(31)
+        sources = [dc.Tensor(r.normal(size=(n, width)).astype(dtype), track=True) for n in (n_g, n_total - n_g, n_edges)]
+        w = dc.Tensor(r.normal(size=(3 * width, width)).astype(dtype), track=True)
+        b = dc.Tensor(r.normal(size=width).astype(dtype), track=True)
+        weights = [dc.Tensor(r.normal(size=t.shape).astype(dtype)) for t in sources]
+        c_hidden = dc.Tensor(r.normal(size=(n_edges, width)).astype(dtype))
+        tape = dc.Tape()
+        with dc.recording(tape):
+            inputs = build(fused, graph, *sources)
+            # the sources are read again after the op, so their gradients
+            # already hold a term when its pull runs, as in the network
+            total = dc.sum_all(dc.mul(dc.affine(inputs, w, b, relu=True), c_hidden))
+            for t, c in zip(sources, weights):
+                total = dc.add(total, dc.sum_all(dc.mul(t, c)))
+        tape.backward(total)
+        results.append((inputs.data, [t.grad for t in sources + [w]]))
+    (fused_data, fused_grads), (oracle_data, oracle_grads) = results
+    assert fused_data.dtype == dtype and fused_data.tobytes() == oracle_data.tobytes()
+    for got, expected in zip(fused_grads, oracle_grads):
+        assert got is not None and got.dtype == dtype and got.tobytes() == expected.tobytes()
+
+
+def test_gather_concat_rejects_bad_parts():
+    a, b = dc.Tensor(np.zeros((3, 2))), dc.Tensor(np.zeros((3, 4)))
+    for parts in ([], [([], None)], [([a], None), ([b], None)], [([a], np.array([0, 3]))],
+                  [([a], None), ([a], np.array([0, 1]))], [([a], np.zeros((3, 1), dtype=np.int64))],
+                  [([a], None), ([dc.Tensor(np.zeros((3, 2), dtype=np.float32))], None)]):
+        with pytest.raises(InvalidArgument):
+            dc.gather_concat(parts)
 
 
 def test_scatter_then_gather_roundtrips_per_index_sums():
@@ -323,6 +437,13 @@ def test_gradients_own_their_memory():
     x = leaf(r.normal(size=(4, 3)))
     run_backward(lambda x: dc.sum_all(dc.mul(dc.concat([x, x], axis=0), dc.Tensor(np.concatenate([g, g])))), x)
     assert np.array_equal(x.grad, 2 * g)
+
+    x, y = leaf(r.normal(size=(4, 3))), leaf(r.normal(size=(2, 3)))
+    up = r.normal(size=(6, 6))   # x and y each in two parts, at both ends of the stacked rows
+    run_backward(lambda x, y: dc.sum_all(dc.mul(dc.gather_concat([([x, y], None), ([y, x], None)]), dc.Tensor(up))),
+                 x, y)
+    _assert_no_shared_memory([x.grad, y.grad])
+    assert np.array_equal(x.grad, up[:4, :3] + up[2:, 3:]) and np.array_equal(y.grad, up[4:, :3] + up[:2, 3:])
 
     grads, _ = _network_step_gradients()
     assert all(grad is not None for grad in grads.values())
