@@ -6,7 +6,7 @@ Exit codes are a stable scripting contract:
     2  io/format error (missing or malformed files)
     3  numeric divergence (rollout produced non-finite positions)
 
-``PB4U_THREADS`` caps the worker threads sweep-k may use.
+sweep-k evaluates its K points on ``diffcore.worker_pool``.
 """
 
 from __future__ import annotations
@@ -15,13 +15,12 @@ import argparse
 import dataclasses
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 
+from . import diffcore as dc
 from . import io as pio
 from . import network as net
 from . import validate
@@ -178,7 +177,7 @@ def _cmd_train(args) -> int:
     result = train(config, scenes, diagnostics_dir=Path(args.out).parent)
     pio.save_checkpoint(result.params, args.out, meta=result.checkpoint_meta())
     log_path = args.log if args.log else f"{args.out}.log.csv"
-    write_loss_csv(result.log, log_path, "iter", TRAIN_LOG_COLUMNS)
+    write_loss_csv(result.log_rows(), log_path, "iter", TRAIN_LOG_COLUMNS)
     first, last = result.log[0].total, result.log[-1].total
     print(f"trained {config.iterations} iterations: total {first:.6g} -> {last:.6g}")
     print(f"wrote checkpoint {args.out} and log {log_path}")
@@ -231,13 +230,7 @@ def _cmd_sweep_k(args) -> int:
         mean_total = float(np.mean(totals)) if totals else float("nan")
         return k, mean_total, result.diverged
 
-    threads_text = os.environ.get("PB4U_THREADS", "1")
-    try:
-        threads = max(1, int(threads_text))
-    except ValueError as exc:
-        raise UsageError(f"PB4U_THREADS must be an integer, got {threads_text!r}") from exc
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        rows = list(pool.map(evaluate, range(lo, hi + 1)))
+    rows = list(dc.worker_pool().map(evaluate, range(lo, hi + 1)))
     with open(args.out, "w", newline="\n") as fh:
         fh.write("k,total\n")
         for k, total, _ in rows:

@@ -9,6 +9,10 @@ its node has pulled it, so only tracked leaves (``track=True``) keep ``.grad``;
 the nodes stay on the tape. ``affine(..., relu=True)`` fuses a hidden layer's
 ReLU into its affine node, so no pre-activation array is kept.
 
+Wide products run as row blocks on the process's one worker pool
+(``worker_pool``): a row of ``x @ w`` or ``g @ w.T`` reduces over a feature
+width only, so its bits do not depend on how the rows are split.
+
 Conventions:
   - elementwise binary ops accept equal shapes, or a scalar (shape ``()``) on
     either side; no other broadcasting is exposed
@@ -23,6 +27,9 @@ from __future__ import annotations
 import contextlib
 import contextvars
 import math
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -181,24 +188,102 @@ def div(a: Tensor, b: Tensor) -> Tensor:
     return _record(out, (a, b), pull)
 
 
+class WorkerPool(ThreadPoolExecutor):
+    """A thread pool of ``size`` workers. A product issued on one of its
+    workers runs whole, so a worker never waits on the pool."""
+
+    def __init__(self, size: int):
+        super().__init__(size, thread_name_prefix="pb4u-worker", initializer=_mark_worker)
+        self.size = size
+
+
+_pool: WorkerPool | None = None
+_pool_lock = threading.Lock()
+_thread = threading.local()   # .on_pool is set on the pool's own workers
+
+
+def _mark_worker() -> None:
+    _thread.on_pool = True
+
+
+def worker_pool() -> WorkerPool:
+    """The process's one pool, created on first use with one worker per core
+    this process may run on (``taskset`` caps it). Split products and
+    ``sweep-k``'s points run on it."""
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            _pool = WorkerPool(len(os.sched_getaffinity(0)))
+        return _pool
+
+
+# Rows per block of a split product, and the least width of both of its
+# feature axes. Measured against the single numpy call (OpenBLAS 0.3.31,
+# float32 and float64, 1 and 2 BLAS threads): row blocks keep every bit of
+# products 64 or more wide on both axes, but not of a 3- or 7-wide output
+# such as the decoder's; a 1-row block would be a matrix-vector call.
+ROW_BLOCK = 1024
+SPLIT_WIDTH = 64
+
+
+def _matmul(x: np.ndarray, w: np.ndarray, finish: Callable[[np.ndarray], None] | None = None) -> np.ndarray:
+    """x @ w, then ``finish`` in place on its rows. With both widths of ``w``
+    at least ``SPLIT_WIDTH`` and two or more blocks, the rows are cut into
+    blocks of ``ROW_BLOCK`` (the last one takes the remainder) from the row
+    count alone; the calling thread and up to ``size - 1`` pool workers take
+    blocks until none is left. A call made on a pool worker runs whole."""
+    out = np.empty((x.shape[0], w.shape[1]), dtype=np.result_type(x, w))
+
+    def block(start: int, stop: int) -> None:
+        rows = out[start:stop]
+        np.matmul(x[start:stop], w, out=rows)   # releases the GIL
+        if finish is not None:
+            finish(rows)
+
+    cuts = [i * ROW_BLOCK for i in range(x.shape[0] // ROW_BLOCK)] + [x.shape[0]]
+    if min(w.shape) < SPLIT_WIDTH or len(cuts) < 3 or getattr(_thread, "on_pool", False):
+        block(0, x.shape[0])
+        return out
+    todo = zip(cuts[:-1], cuts[1:])   # shared by the threads; each next() is atomic under the GIL
+
+    def drain() -> None:
+        for start, stop in todo:
+            block(start, stop)
+
+    pool = worker_pool()
+    helpers = [pool.submit(drain) for _ in range(min(pool.size, len(cuts) - 1) - 1)]
+    try:
+        drain()
+    finally:
+        for helper in helpers:
+            helper.result()
+    return out
+
+
 def affine(x: Tensor, w: Tensor, b: Tensor, relu: bool = False) -> Tensor:
     """x @ w + b with b a row vector, then max(., 0) when ``relu``, in the
     dtype of x @ w. Bias and ReLU are applied in place, and the fused form
-    keeps tapes small (no pre-activation array is kept)."""
+    keeps tapes small (no pre-activation array is kept). ``x @ w`` and the
+    pull's ``g @ w.T`` split into row blocks (``_matmul``); ``x.T @ g``
+    reduces over the rows and ``g.sum(axis=0)`` too, so each stays one call
+    on the calling thread."""
     if x.data.ndim != 2 or w.data.ndim != 2 or x.data.shape[1] != w.data.shape[0]:
         raise InvalidArgument(f"affine: incompatible shapes {x.data.shape} and {w.data.shape}")
     if b.data.shape != (w.data.shape[1],):
         raise InvalidArgument(f"affine: bias shape {b.data.shape} does not match width {w.data.shape[1]}")
-    out = Tensor(x.data @ w.data)
-    out.data += b.data
-    if relu:
-        np.maximum(out.data, 0, out=out.data)
+
+    def bias_relu(rows):
+        rows += b.data
+        if relu:
+            np.maximum(rows, 0, out=rows)
+
+    out = Tensor(_matmul(x.data, w.data, bias_relu))
 
     def pull(g):
         if relu:
             g = g * (out.data > 0)
         if x.tracked:   # not for an encoder's feature input
-            _acc(x, g @ w.data.T)
+            _acc(x, _matmul(g, w.data.T))
         _acc(w, x.data.T @ g)
         _acc(b, g.sum(axis=0))
 

@@ -7,6 +7,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -119,9 +120,12 @@ def run_rollout(
     compute_losses: bool = True,
     start_state: SimState | None = None,
     start_frame: int = 0,
+    keep: Callable[[SimState, int], bool] | None = None,
 ) -> RolloutResult:
     """Roll the model forward; on numeric divergence the frames completed so
-    far are retained and the result is flagged."""
+    far are retained and the result is flagged. With ``keep``, the rollout
+    ends at the first state for which ``keep(state, frame)`` is false, before
+    that state's loss, and does not retain it."""
     state = start_state if start_state is not None else ctx.scene.initial_state()
     result = RolloutResult(states=[], losses=[], latencies_ms=[])
     for f in range(frames):
@@ -132,6 +136,8 @@ def run_rollout(
             result.diverged = True
             break
         latency = 1000.0 * (time.perf_counter() - began)
+        if keep is not None and not keep(next_state, start_frame + f + 1):
+            break
         if compute_losses:
             try:
                 pred64 = Tensor(next_state.garment_pos.copy())
@@ -152,15 +158,15 @@ def write_rollout_outputs(result: RolloutResult, scene: Scene, out_dir, metrics_
     for f, state in enumerate(result.states):
         write_obj(out / f"frame_{f:04d}.obj", state.garment_pos, scene.garment.triangles)
     if metrics_path is not None:
-        write_loss_csv(result.losses, metrics_path, "frame", METRIC_COLUMNS)
+        write_loss_csv([row.as_dict() for row in result.losses], metrics_path, "frame", METRIC_COLUMNS)
 
 
 def write_loss_csv(rows: list, path, index: str, columns: tuple) -> None:
-    """One line per LossBreakdown: its position in ``rows`` under the
+    """One line per row (a dict): its position in ``rows`` under the
     ``index`` header, then each of ``columns`` as repr (floats round-trip)."""
     lines = [f"{index}," + ",".join(columns)]
     for i, row in enumerate(rows):
-        lines.append(f"{i}," + ",".join(repr(getattr(row, c)) for c in columns))
+        lines.append(f"{i}," + ",".join(repr(row[c]) for c in columns))
     with open(path, "w", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +28,8 @@ from .physics import LOSS_TERMS, LossBreakdown, LossWeights
 from .rollout import SimContext, advance, frame_loss, run_rollout
 from .scenes import BufferedFrame, Scene, sample_frame
 
-TRAIN_LOG_COLUMNS = LOSS_TERMS + ("total",)
+# the loss columns, then each iteration's IterationStats
+TRAIN_LOG_COLUMNS = LOSS_TERMS + ("total", "grad_norm", "buffer_len", "k_steps")
 
 # the least value of each count field of TrainConfig
 _COUNT_MINIMUMS = {
@@ -175,17 +176,16 @@ def refresh_buffer(scene: Scene, ctx: SimContext, params, use_model: bool) -> No
 
     An immature model amplifies its own velocity features over a long
     rollout; frames past the first position, speed, or edge-stretch blow-up
-    are worthless as training data, so the roll is truncated there. The
-    effective horizon grows by itself as the model stabilizes."""
+    are worthless as training data, so the roll stops at the first frame
+    ``_state_is_sane`` rejects. The effective horizon grows by itself as the
+    model stabilizes."""
     if not use_model:
         scene.buffer = _free_fall_states(scene)
         return
     frames = [BufferedFrame(0, scene.initial_state())]
-    result = run_rollout(ctx, params, scene.frames - 1, compute_losses=False, start_state=frames[0].state)
-    for f, state in enumerate(result.states):
-        if not _state_is_sane(scene, state, f + 1):
-            break
-        frames.append(BufferedFrame(f + 1, state))
+    result = run_rollout(ctx, params, scene.frames - 1, compute_losses=False, start_state=frames[0].state,
+                         keep=lambda state, frame: _state_is_sane(scene, state, frame))
+    frames += [BufferedFrame(f + 1, state) for f, state in enumerate(result.states)]
     if len(frames) < scene.frames // 2:
         # an immature model yields a short usable roll; extend it with the
         # physical free-fall frames past it so sampling never degenerates to
@@ -194,15 +194,27 @@ def refresh_buffer(scene: Scene, ctx: SimContext, params, use_model: bool) -> No
     scene.buffer = frames
 
 
+@dataclass(frozen=True)
+class IterationStats:
+    grad_norm: float          # before clipping, as clip_gradients returns it
+    buffer_len: int           # states in the sampled scene's buffer
+    k_steps: int              # the sampled scene's propagation depth
+
+
 @dataclass
 class TrainResult:
     params: net.ModelParams
     log: list                 # one LossBreakdown per iteration
     control: ControlConfig
     config: TrainConfig
+    stats: list               # one IterationStats per iteration
 
     def checkpoint_meta(self) -> dict:
         return {"gamma": self.config.gamma, "k_base": self.config.k_base, "l_base": self.control.l_base}
+
+    def log_rows(self) -> list:
+        """The train log's rows, one dict of TRAIN_LOG_COLUMNS per iteration."""
+        return [{**loss.as_dict(), **asdict(stats)} for loss, stats in zip(self.log, self.stats)]
 
 
 def initial_training_params(config: TrainConfig, scenes: list) -> net.ModelParams:
@@ -229,6 +241,7 @@ def train(config: TrainConfig, scenes: list, diagnostics_dir=None) -> TrainResul
     ]
 
     log: list[LossBreakdown] = []
+    stats: list[IterationStats] = []
     for iteration in range(config.iterations):
         if iteration % config.buffer_refresh == 0:
             for scene, ctx in zip(scenes, contexts):
@@ -257,12 +270,13 @@ def train(config: TrainConfig, scenes: list, diagnostics_dir=None) -> TrainResul
         grads = {
             key: (t.grad if t.grad is not None else np.zeros_like(t.data)) for key, t in named.items()
         }
-        clip_gradients(grads, config.grad_clip)
+        grad_norm = clip_gradients(grads, config.grad_clip)
         optimizer.step(named, grads)
         for t in named.values():
             t.grad = None
         log.append(breakdown)
-    return TrainResult(params=params, log=log, control=ctrl, config=config)
+        stats.append(IterationStats(grad_norm, len(scene.buffer), ctx.k_steps))
+    return TrainResult(params=params, log=log, control=ctrl, config=config, stats=stats)
 
 
 def _dump_divergence(diagnostics_dir, iteration: int, entry: BufferedFrame, scene: Scene) -> None:

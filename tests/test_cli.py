@@ -6,6 +6,7 @@ import struct
 import numpy as np
 import pytest
 
+from pb4u import diffcore as dc
 from pb4u import io as pio
 from pb4u.cli import _build_parser, main
 from pb4u.control import calibrate, propagation_steps
@@ -103,8 +104,11 @@ def test_train_bad_scene_value_is_format_error(tmp_path, capsys, path, value):
 
 def test_train_log_has_one_row_per_iteration(workdir):
     log = (workdir / "model.ckpt.log.csv").read_text().strip().splitlines()
-    assert log[0] == "iter,stretch,bending,collision,gravity,friction,inertia,total"
+    assert log[0] == "iter,stretch,bending,collision,gravity,friction,inertia,total,grad_norm,buffer_len,k_steps"
     assert len(log) == 1 + 8
+    for line in log[1:]:
+        row = dict(zip(log[0].split(","), line.split(",")))
+        assert float(row["grad_norm"]) > 0 and int(row["buffer_len"]) >= 1 and int(row["k_steps"]) == 3
 
 
 def test_train_deterministic_checkpoints(workdir, tmp_path):
@@ -169,25 +173,19 @@ def test_no_update_scaling_identical_when_scale_is_unit(workdir, tmp_path):
     assert (tmp_path / "m1.csv").read_text() == (tmp_path / "m2.csv").read_text()
 
 
-def test_sweep_k_thread_cap_is_deterministic(workdir, tmp_path, monkeypatch):
+def test_sweep_k_csv_is_the_same_for_any_pool_size(workdir, tmp_path, monkeypatch):
     base = ["sweep-k", "--ckpt", str(workdir / "model.ckpt"), "--scene", str(workdir / "scene.json"),
             "--frames", "1", "--k-range", "1:3"]
-    serial, threaded = tmp_path / "serial.csv", tmp_path / "threaded.csv"
-    assert main(base + ["--out", str(serial)]) == 0
-    monkeypatch.setenv("PB4U_THREADS", "3")
-    assert main(base + ["--out", str(threaded)]) == 0
-    assert serial.read_text() == threaded.read_text()
-
-
-def test_sweep_k_non_integer_thread_count_is_usage_error(workdir, tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("PB4U_THREADS", "abc")
-    out = tmp_path / "sweep.csv"
-    rc = main(["sweep-k", "--ckpt", str(workdir / "model.ckpt"), "--scene", str(workdir / "scene.json"),
-               "--frames", "1", "--k-range", "1:2", "--out", str(out)])
-    assert rc == 1
-    err = capsys.readouterr().err
-    assert err.startswith("usage error: ") and "PB4U_THREADS" in err and err.count("\n") == 1
-    assert not out.exists()
+    csvs = []
+    for size in (1, 3):
+        pool = dc.WorkerPool(size)
+        monkeypatch.setattr(dc, "_pool", pool)
+        csvs.append(tmp_path / f"pool{size}.csv")
+        try:
+            assert main(base + ["--out", str(csvs[-1])]) == 0
+        finally:
+            pool.shutdown()
+    assert csvs[0].read_text() == csvs[1].read_text()
 
 
 def test_eval_report_contract(workdir, tmp_path):

@@ -4,6 +4,8 @@ Every primitive is checked against central finite differences at float64;
 structural ops (gather/scatter) additionally against per-index loop oracles.
 """
 
+import contextlib
+import sys
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -467,6 +469,123 @@ def test_tape_is_per_thread():
         dc.sum_all(x)
     assert worker_nodes == 2
     assert len(tape.nodes) == 1
+
+
+# (rows, in width, out width, splits): the message MLP's two layers at
+# rollout-fine's 13151 edges split into row blocks; the decoder's 3-wide
+# output and a 14-wide encoder input run as one call
+AFFINE_SHAPES = [(13151, 384, 128, True), (13151, 128, 128, True), (13151, 128, 3, False), (13151, 14, 128, False)]
+WAIT_S = 60   # bound on every wait for a thread, so a deadlock fails instead of hanging
+
+
+@contextlib.contextmanager
+def worker_pool_of(size):
+    """diffcore's pool replaced by one of ``size`` workers that records what is submitted to it."""
+    pool = dc.WorkerPool(size)
+    pool.submitted = []
+    submit = pool.submit
+
+    def recorded(fn, *args, **kwargs):
+        pool.submitted.append(fn)
+        return submit(fn, *args, **kwargs)
+
+    pool.submit = recorded
+    saved, dc._pool = dc._pool, pool
+    try:
+        yield pool
+    finally:
+        dc._pool = saved
+        pool.shutdown(wait=False)
+
+
+@contextlib.contextmanager
+def callers(n):
+    """Plain threads for the test's callers, shut down without waiting, so a
+    timed-out wait fails the test instead of hanging in the shutdown."""
+    pool = ThreadPoolExecutor(max_workers=n)
+    try:
+        yield pool
+    finally:
+        pool.shutdown(wait=False)
+
+
+def _affine_case(rows, k, m, dtype, seed=0):
+    r = rng(seed)
+    x = r.standard_normal((rows, k)).astype(dtype)
+    w = (r.standard_normal((k, m)) / np.sqrt(k)).astype(dtype)
+    return x, w, r.standard_normal(m).astype(dtype), r.standard_normal((rows, m)).astype(dtype)
+
+
+def _single_calls(x, w, b, g):
+    """Data and gradients of affine(x, w, b, relu=True) under upstream g, one numpy call each."""
+    data = x @ w
+    data += b
+    np.maximum(data, 0, out=data)
+    g = g * (data > 0)
+    return data, g @ w.T, x.T @ g, g.sum(axis=0)
+
+
+def _affine_through_tape(x, w, b, g):
+    xt, wt, bt = (dc.Tensor(a, track=True) for a in (x, w, b))
+    tape = dc.Tape()
+    with dc.recording(tape):
+        out = dc.affine(xt, wt, bt, relu=True)
+        loss = dc.sum_all(dc.mul(out, dc.Tensor(g)))   # hands affine the upstream g exactly
+    tape.backward(loss)
+    return out.data, xt.grad, wt.grad, bt.grad
+
+
+def _assert_affine_matches_single_calls(case):
+    for name, got, want in zip(("data", "x grad", "w grad", "b grad"), _affine_through_tape(*case),
+                               _single_calls(*case)):
+        assert got.dtype == want.dtype and np.array_equal(got, want), name
+
+
+@pytest.mark.parametrize("size", [1, 2, 8])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_affine_row_blocks_match_single_numpy_calls_bitwise(dtype, size):
+    with worker_pool_of(size) as pool, callers(1) as caller:
+        for rows, k, m, splits in AFFINE_SHAPES:
+            case = _affine_case(rows, k, m, dtype)
+            del pool.submitted[:]
+            caller.submit(_assert_affine_matches_single_calls, case).result(timeout=WAIT_S)
+            # forward and x gradient each ask size - 1 workers to help, or none
+            assert len(pool.submitted) == (2 * (size - 1) if splits else 0), (rows, k, m)
+
+
+def _affine_data(case):
+    return _affine_through_tape(*case)[0]
+
+
+def test_affine_on_a_pool_worker_runs_whole():
+    # workers issue wide products and ask the pool for no help: with every
+    # worker busy, a product waiting on queued helpers would never return
+    case = _affine_case(4100, 128, 128, np.float32)
+    want = _single_calls(*case)[0]
+    with worker_pool_of(3) as pool:
+        jobs = [pool.submit(_affine_data, case) for _ in range(2)]
+        for job in jobs:
+            assert np.array_equal(job.result(timeout=WAIT_S), want)
+        assert pool.submitted == [_affine_data] * 2
+
+
+def test_affine_row_blocks_stay_bitwise_under_thread_churn():
+    cases = [_affine_case(4100 + 7 * i, 128, 128, dtype, seed=i)
+             for i, dtype in enumerate([np.float32, np.float64] * 2)]
+    wants = [_single_calls(*case) for case in cases]
+
+    def repeat(i):
+        for _ in range(10):
+            assert all(np.array_equal(a, b) for a, b in zip(_affine_through_tape(*cases[i]), wants[i]))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with worker_pool_of(8), callers(len(cases)) as threads:
+            for job in [threads.submit(repeat, i) for i in range(len(cases))]:
+                job.result(timeout=WAIT_S)
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_no_tape_means_no_tracking():

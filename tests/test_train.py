@@ -10,7 +10,7 @@ from pb4u.scenes import drape_sphere_preset
 from pb4u import train as tr
 from pb4u.control import calibrate
 from pb4u.mesh import mean_edge_length
-from pb4u.rollout import SimContext
+from pb4u.rollout import SimContext, run_rollout
 from pb4u.train import Adam, TrainConfig, clip_gradients, train
 from pb4u.diffcore import Tensor
 
@@ -151,8 +151,10 @@ def test_short_model_roll_continues_with_the_free_fall_frames_past_it(monkeypatc
     config = tiny_config()
     ctx = SimContext.build(scene, config.network_config(), calibrate(config.k_base, mean_edge_length(scene.garment)))
     params = tr.initial_training_params(config, [scene])
-    monkeypatch.setattr(tr, "_state_is_sane", lambda scene, state, frame: frame < 3)
+    checked = []
+    monkeypatch.setattr(tr, "_state_is_sane", lambda scene, state, frame: checked.append(frame) or frame < 3)
     tr.refresh_buffer(scene, ctx, params, use_model=True)
+    assert checked == [1, 2, 3]   # the roll stops at the first rejected frame
     free_fall = tr._free_fall_states(scene)
     assert len(free_fall) > 3 and 3 < scene.frames // 2
     assert [entry.frame for entry in scene.buffer] == list(range(len(free_fall)))
@@ -160,3 +162,39 @@ def test_short_model_roll_continues_with_the_free_fall_frames_past_it(monkeypatc
     for got, want in zip(scene.buffer[3:], free_fall[3:]):
         assert np.array_equal(got.state.garment_pos, want.state.garment_pos)
         assert np.array_equal(got.state.garment_vel, want.state.garment_vel)
+
+
+def test_model_refresh_keeps_the_sane_prefix_of_a_full_roll_bitwise():
+    scene = tiny_scene(frames=40)
+    config = tiny_config()
+    ctx = SimContext.build(scene, config.network_config(), calibrate(config.k_base, mean_edge_length(scene.garment)))
+    params = tr.initial_training_params(config, [scene])
+    for key, t in params.named_tensors().items():
+        if key.startswith("decoder."):
+            t.data *= 3.0   # a wilder model, so that the roll turns insane part way
+    # the oracle rolls every frame and keeps the frames before the first insane one
+    full = run_rollout(ctx, params, scene.frames - 1, compute_losses=False, start_state=scene.initial_state())
+    kept = []
+    for f, state in enumerate(full.states):
+        if not tr._state_is_sane(scene, state, f + 1):
+            break
+        kept.append(state)
+    assert 0 < len(kept) < len(full.states)
+    tr.refresh_buffer(scene, ctx, params, use_model=True)
+    assert [entry.frame for entry in scene.buffer[:len(kept) + 1]] == list(range(len(kept) + 1))
+    for entry, want in zip(scene.buffer[1:], kept):
+        assert np.array_equal(entry.state.garment_pos, want.garment_pos)
+        assert np.array_equal(entry.state.garment_vel, want.garment_vel)
+
+
+def test_stats_record_each_iterations_grad_norm_buffer_and_depth(monkeypatch):
+    norms = []
+    clip = tr.clip_gradients
+    monkeypatch.setattr(tr, "clip_gradients", lambda grads, max_norm: norms.append(clip(grads, max_norm)) or norms[-1])
+    scene = tiny_scene()
+    result = train(tiny_config(iterations=4), [scene])
+    assert [s.grad_norm for s in result.stats] == norms and len(norms) == 4
+    assert all(s.buffer_len == len(scene.buffer) and s.k_steps == 3 for s in result.stats)
+    rows = result.log_rows()
+    assert list(rows[0]) == list(tr.TRAIN_LOG_COLUMNS)
+    assert [row["total"] for row in rows] == [row.total for row in result.log]
