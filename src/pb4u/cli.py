@@ -94,7 +94,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("subdivide", help="midpoint-subdivide an OBJ mesh")
     p.add_argument("--in", dest="in_path", required=True)
-    p.add_argument("--levels", type=int, required=True)
+    p.add_argument("--levels", type=_int_at_least(1), required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(run=_cmd_subdivide)
     return parser
@@ -255,8 +255,6 @@ def _cmd_gradcheck(args) -> int:
 
 
 def _cmd_subdivide(args) -> int:
-    if args.levels < 1:
-        raise UsageError(f"--levels must be >= 1, got {args.levels}")
     mesh = load_obj_mesh(args.in_path)
     for _ in range(args.levels):
         mesh = subdivide_midpoint(mesh)

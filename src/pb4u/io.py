@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import ConfigMismatch, FormatError, InvalidArgument, InvalidMesh, IoError
 from .mesh import MaterialParams, load_obj_mesh, make_grid_cloth
-from .network import Mlp, ModelParams, ProcessorBlock
+from .network import Mlp, ModelParams, assemble_params, mlp_widths
 from .diffcore import Tensor
 from .physics import DEFAULT_CONTACT_MARGIN, LOSS_TERMS, LossWeights
 from .scenes import DEFAULT_BODY_LAT, DEFAULT_BODY_LON, BodySpec, Scene, build_scene
@@ -100,8 +100,8 @@ def load_tensors(path) -> dict[str, np.ndarray]:
     if blob[: len(MAGIC)] != MAGIC:
         raise FormatError(f"{path}: bad magic {blob[:len(MAGIC)]!r}")
     (version,) = struct.unpack_from("<I", blob, len(MAGIC))
-    if version > VERSION:
-        raise FormatError(f"{path}: unsupported version {version} (this build reads <= {VERSION})")
+    if version != VERSION:
+        raise FormatError(f"{path}: unsupported version {version} (this build reads {VERSION})")
     (header_len,) = struct.unpack_from("<Q", blob, len(MAGIC) + 4)
     header_end = fixed + header_len
     if len(blob) < header_end + 4:
@@ -149,42 +149,15 @@ def load_tensors(path) -> dict[str, np.ndarray]:
     return out
 
 
-def _collect_mlp(named: dict[str, np.ndarray], prefix: str, path, in_dim: int | None, out_dim: int) -> Mlp:
-    """The MLP stored under ``prefix``; each layer takes the width the one
-    before it gives, the first takes ``in_dim`` (any width when None) and the
-    last gives ``out_dim``."""
-    weights, biases = [], []
-    i = 0
-    width = in_dim
-    while f"{prefix}.w{i}" in named:
-        w = named.pop(f"{prefix}.w{i}")
-        key = f"{prefix}.b{i}"
-        if key not in named:
-            raise FormatError(f"{path}: missing bias {key!r}")
-        b = named.pop(key)
-        if w.ndim != 2 or b.shape != (w.shape[1],):
-            raise FormatError(f"{path}: inconsistent shapes for {prefix!r} layer {i}")
-        if width is not None and w.shape[0] != width:
-            raise FormatError(f"{path}: {prefix!r} layer {i} takes {w.shape[0]} inputs, need {width}")
-        width = w.shape[1]
-        weights.append(Tensor(w, track=True))
-        biases.append(Tensor(b, track=True))
-        i += 1
-    if not weights:
-        raise FormatError(f"{path}: no tensors for MLP {prefix!r}")
-    if width != out_dim:
-        raise FormatError(f"{path}: {prefix!r} gives {width} outputs, need {out_dim}")
-    return Mlp(weights, biases)
-
-
 def load_checkpoint(path, expect_vertex_dim: int | None = None, expect_edge_dim: int | None = None):
     """Reconstruct (ModelParams, meta dict) from a checkpoint file.
 
-    Model structure is inferred from tensor names and shapes. Every width
-    must agree with the latent width ``d``, the decoder's input: the encoders
-    give ``d``, edge MLPs take ``3d``, vertex MLPs ``2d``, and the
-    propagation LayerNorm has ``d`` entries. Pass the expected feature widths
-    to fail fast with config-mismatch on foreign checkpoints.
+    The file holds the one layout ``network.mlp_widths`` gives for four
+    numbers it reads: the latent width ``d >= 1`` (the rows of ``decoder.w0``),
+    the depth (the number of block ids) and the two encoder input widths.
+    Exactly those tensors at those shapes, plus ``prop_norm.gain`` and
+    ``prop_norm.bias`` of shape ``(d,)``, must be present. Pass the expected
+    feature widths to fail fast with config-mismatch on foreign checkpoints.
     """
     named = load_tensors(path)
     meta = {
@@ -193,49 +166,36 @@ def load_checkpoint(path, expect_vertex_dim: int | None = None, expect_edge_dim:
         if key.startswith("meta.")
     }
 
-    decoder = _collect_mlp(named, "decoder", path, None, 3)
-    d = decoder.in_dim
+    def rows(name: str) -> int:
+        if name not in named or named[name].ndim != 2:
+            raise FormatError(f"{path}: no 2-D tensor {name!r}")
+        return named[name].shape[0]
 
-    def mlp(prefix: str, in_dim: int | None) -> Mlp:
-        return _collect_mlp(named, prefix, path, in_dim, d)
+    def take(name: str, shape: tuple) -> Tensor:
+        owner = name.rsplit(".", 1)[0]
+        if name not in named:
+            raise FormatError(f"{path}: {owner!r} is missing tensor {name!r}")
+        if named[name].shape != shape:
+            raise FormatError(f"{path}: {owner!r} needs {name!r} of shape {shape}, got {named[name].shape}")
+        return Tensor(named.pop(name), track=True)
 
-    block_ids = {name.split(".")[1] for name in named if name.startswith("blocks.")}
-    depth = len(block_ids)
-    if block_ids != {f"{k:02d}" for k in range(depth)}:
-        raise FormatError(f"{path}: processor block ids {sorted(block_ids)} are not 00, 01, ... without gaps")
-    blocks = [
-        ProcessorBlock(edge_mlp=mlp(f"blocks.{k:02d}.edge", 3 * d), vertex_mlp=mlp(f"blocks.{k:02d}.vertex", 2 * d))
-        for k in range(depth)
-    ]
-    params = ModelParams(
-        vertex_encoder=mlp("vertex_encoder", None),
-        edge_encoder=mlp("edge_encoder", None),
-        message_fn=mlp("message_fn", 3 * d),
-        update_fn=mlp("update_fn", 2 * d),
-        blocks=blocks,
-        decoder=decoder,
-        norm_gain=Tensor(_take(named, "prop_norm.gain", path, d), track=True),
-        norm_bias=Tensor(_take(named, "prop_norm.bias", path, d), track=True),
-    )
+    d, vertex_dim, edge_dim = rows("decoder.w0"), rows("vertex_encoder.w0"), rows("edge_encoder.w0")
+    if d < 1:
+        raise FormatError(f"{path}: latent width 0: 'decoder.w0' has no rows")
+    depth = len({name.split(".")[1] for name in named if name.startswith("blocks.")})
+    mlps = {}
+    for prefix, dims in mlp_widths(d, depth, vertex_dim, edge_dim).items():
+        layers = list(enumerate(zip(dims[:-1], dims[1:])))
+        mlps[prefix] = Mlp([take(f"{prefix}.w{i}", (fan_in, fan_out)) for i, (fan_in, fan_out) in layers],
+                           [take(f"{prefix}.b{i}", (fan_out,)) for i, (_, fan_out) in layers])
+    params = assemble_params(mlps, depth, take("prop_norm.gain", (d,)), take("prop_norm.bias", (d,)))
     if named:
         raise FormatError(f"{path}: unexpected tensors {sorted(named)}")
-    if expect_vertex_dim is not None and params.vertex_encoder.in_dim != expect_vertex_dim:
-        raise ConfigMismatch(
-            f"{path}: vertex encoder expects {params.vertex_encoder.in_dim} features, need {expect_vertex_dim}"
-        )
-    if expect_edge_dim is not None and params.edge_encoder.in_dim != expect_edge_dim:
-        raise ConfigMismatch(
-            f"{path}: edge encoder expects {params.edge_encoder.in_dim} features, need {expect_edge_dim}"
-        )
+    if expect_vertex_dim is not None and vertex_dim != expect_vertex_dim:
+        raise ConfigMismatch(f"{path}: vertex encoder expects {vertex_dim} features, need {expect_vertex_dim}")
+    if expect_edge_dim is not None and edge_dim != expect_edge_dim:
+        raise ConfigMismatch(f"{path}: edge encoder expects {edge_dim} features, need {expect_edge_dim}")
     return params, meta
-
-
-def _take(named: dict[str, np.ndarray], key: str, path, width: int) -> np.ndarray:
-    if key not in named:
-        raise FormatError(f"{path}: missing tensor {key!r}")
-    if named[key].shape != (width,):
-        raise FormatError(f"{path}: {key!r} has shape {named[key].shape}, need ({width},)")
-    return named.pop(key)
 
 
 # --- scene files -----------------------------------------------------------

@@ -87,10 +87,10 @@ class ModelParams:
         return self.decoder.weights[0].dtype
 
     def named_tensors(self) -> dict[str, Tensor]:
-        """Stable name -> tensor map; block k is ``blocks.{k:02d}``, the ids
-        ``io.load_checkpoint`` requires. Past 99 blocks the lexicographic
-        order of the names is not the numeric one, so the loader builds the
-        blocks by index, not by sorting the ids."""
+        """Stable name -> tensor map; block k is ``blocks.{k:02d}``, as in
+        ``mlp_widths``. Past 99 blocks the lexicographic order of the names
+        is not the numeric one, so the blocks are built by index, never by
+        sorting the ids."""
         out: dict[str, Tensor] = {}
 
         def put(prefix: str, mlp: Mlp) -> None:
@@ -111,6 +111,34 @@ class ModelParams:
         return out
 
 
+def mlp_widths(d: int, depth: int, vertex_dim: int, edge_dim: int) -> dict[str, list[int]]:
+    """The one model layout: each MLP's layer widths under its checkpoint
+    prefix, in the order ``init_params`` draws them. Every MLP has two hidden
+    layers of the latent width ``d``; edge MLPs take ``3d``, vertex MLPs
+    ``2d``, and all but the decoder (3 outputs) give ``d``."""
+    ends = {}
+    for k in range(depth):
+        ends[f"blocks.{k:02d}.edge"] = (3 * d, d)
+        ends[f"blocks.{k:02d}.vertex"] = (2 * d, d)
+    ends.update(vertex_encoder=(vertex_dim, d), edge_encoder=(edge_dim, d), message_fn=(3 * d, d),
+                update_fn=(2 * d, d), decoder=(d, 3))
+    return {prefix: [fan_in, d, d, fan_out] for prefix, (fan_in, fan_out) in ends.items()}
+
+
+def assemble_params(mlps: dict[str, Mlp], depth: int, norm_gain: Tensor, norm_bias: Tensor) -> ModelParams:
+    """ModelParams from a prefix -> Mlp map holding every ``mlp_widths`` prefix."""
+    return ModelParams(
+        vertex_encoder=mlps["vertex_encoder"],
+        edge_encoder=mlps["edge_encoder"],
+        message_fn=mlps["message_fn"],
+        update_fn=mlps["update_fn"],
+        blocks=[ProcessorBlock(mlps[f"blocks.{k:02d}.edge"], mlps[f"blocks.{k:02d}.vertex"]) for k in range(depth)],
+        decoder=mlps["decoder"],
+        norm_gain=norm_gain,
+        norm_bias=norm_bias,
+    )
+
+
 def _init_mlp(rng: np.random.Generator, dims: list, dtype) -> Mlp:
     weights, biases = [], []
     for fan_in, fan_out in zip(dims[:-1], dims[1:]):
@@ -123,27 +151,11 @@ def _init_mlp(rng: np.random.Generator, dims: list, dtype) -> Mlp:
 
 def init_params(config: NetworkConfig, seed: int = 0, dtype=np.float32) -> ModelParams:
     rng = np.random.default_rng(seed)
-    d = config.latent_dim
-    hidden = [d, d]
-    blocks = []
-    for _ in range(config.processor_depth):
-        blocks.append(
-            ProcessorBlock(
-                edge_mlp=_init_mlp(rng, [3 * d] + hidden + [d], dtype),
-                vertex_mlp=_init_mlp(rng, [2 * d] + hidden + [d], dtype),
-            )
-        )
-    return ModelParams(
-        vertex_encoder=_init_mlp(rng, [VERTEX_FEATURE_DIM] + hidden + [d], dtype),
-        edge_encoder=_init_mlp(rng, [EDGE_FEATURE_DIM] + hidden + [d], dtype),
-        message_fn=_init_mlp(rng, [3 * d] + hidden + [d], dtype),
-        update_fn=_init_mlp(rng, [2 * d] + hidden + [d], dtype),
-        blocks=blocks,
-        decoder=_init_mlp(rng, [d] + hidden + [3], dtype),
-        norm_gain=Tensor(np.ones(d, dtype=dtype), track=True),
-        norm_bias=Tensor(np.zeros(d, dtype=dtype), track=True),
-    )
-
+    d, depth = config.latent_dim, config.processor_depth
+    widths = mlp_widths(d, depth, VERTEX_FEATURE_DIM, EDGE_FEATURE_DIM)
+    mlps = {prefix: _init_mlp(rng, dims, dtype) for prefix, dims in widths.items()}
+    return assemble_params(mlps, depth, Tensor(np.ones(d, dtype=dtype), track=True),
+                           Tensor(np.zeros(d, dtype=dtype), track=True))
 
 
 @dataclass

@@ -317,7 +317,7 @@ def test_seed_is_parsed_where_it_is_used():
     assert parser.parse_args(["gradcheck"]).seed == 0
 
 
-def test_subdivide_growth_and_roundtrip(tmp_path):
+def test_subdivide_growth_and_roundtrip(tmp_path, capsys):
     grid = make_grid_cloth(2, 1.0, DEFAULT_MATERIAL)
     src = tmp_path / "base.obj"
     write_obj(src, grid.rest_positions, grid.triangles)
@@ -329,7 +329,9 @@ def test_subdivide_growth_and_roundtrip(tmp_path):
     mesh = load_obj_mesh(twice)
     assert mesh.triangles.shape[0] == 32
     assert np.all(mesh.rest_edge_lengths > 0)
+    capsys.readouterr()
     assert main(["subdivide", "--in", str(src), "--levels", "0", "--out", str(twice)]) == 1
+    assert capsys.readouterr().err == "usage error: argument --levels: must be >= 1, got 0\n"
 
 
 def test_subdivide_bad_obj_is_format_error(tmp_path):

@@ -85,12 +85,13 @@ def test_bad_magic_and_future_version(tmp_path):
     with pytest.raises(FormatError, match="magic"):
         pio.load_tensors(wrong)
 
-    future = bytearray(blob)
-    struct.pack_into("<I", future, 8, 99)
-    future_path = tmp_path / "future.ckpt"
-    future_path.write_bytes(bytes(future))
-    with pytest.raises(FormatError, match="version"):
-        pio.load_tensors(future_path)
+    for version in (0, 99):   # version 0 used to load
+        other = bytearray(blob)
+        struct.pack_into("<I", other, 8, version)
+        other_path = tmp_path / f"version{version}.ckpt"
+        other_path.write_bytes(bytes(other))
+        with pytest.raises(FormatError, match=f"version {version}"):
+            pio.load_tensors(other_path)
 
 
 def test_truncation_at_every_tensor_boundary(tmp_path):
@@ -133,9 +134,10 @@ def test_config_mismatch_on_wrong_feature_width(tmp_path):
         pio.load_checkpoint(path, expect_vertex_dim=14, expect_edge_dim=7)
 
 
-def test_more_than_99_blocks_reload_in_order(tmp_path):
-    # ids were sorted as strings, so blocks.100 came back between 10 and 11
-    params = net.init_params(net.NetworkConfig(latent_dim=2, processor_depth=101), seed=0, dtype=np.float32)
+# past 99 blocks the ids were sorted as strings, so blocks.100 came back between 10 and 11
+@pytest.mark.parametrize("d, depth", [(1, 0), (16, 2), (2, 101)], ids=["d1-depth0", "d16-depth2", "d2-depth101"])
+def test_more_than_99_blocks_reload_in_order(tmp_path, d, depth):
+    params = net.init_params(net.NetworkConfig(latent_dim=d, processor_depth=depth), seed=0, dtype=np.float32)
     path = tmp_path / "deep.ckpt"
     pio.save_checkpoint(params, path)
     loaded, _ = pio.load_checkpoint(path)
@@ -143,6 +145,31 @@ def test_more_than_99_blocks_reload_in_order(tmp_path):
     assert list(src) == list(dst)
     for name in src:
         assert np.array_equal(src[name].data, dst[name].data), name
+
+
+# the loader followed any chain of hidden widths, so both of these loaded
+@pytest.mark.parametrize("layers, named", [
+    ([(14, 8), (8, 8), (8, 16)], "'vertex_encoder'"),                       # hidden width 8, not d = 16
+    ([(14, 16), (16, 16), (16, 16), (16, 16)], "'vertex_encoder.w3'"),      # a third hidden layer
+], ids=["hidden-width", "hidden-depth"])
+def test_mlp_off_the_layout_is_format_error(tmp_path, layers, named):
+    tensors = {name: t.data for name, t in small_params().named_tensors().items()}
+    for i, (fan_in, fan_out) in enumerate(layers):
+        tensors[f"vertex_encoder.w{i}"] = np.zeros((fan_in, fan_out), dtype=np.float32)
+        tensors[f"vertex_encoder.b{i}"] = np.zeros(fan_out, dtype=np.float32)
+    path = tmp_path / "model.ckpt"
+    pio.save_tensors(tensors, path)
+    with pytest.raises(FormatError, match=named):
+        pio.load_checkpoint(path)
+
+
+def test_zero_latent_width_is_format_error(tmp_path):
+    # the whole layout at d = 0 loaded, and eval exited 1 (latent_dim must be >= 1)
+    path = tmp_path / "zero.ckpt"
+    pio.save_tensors({name: np.zeros(shape, dtype=np.float32) for name, shape in _layout_shapes(0, 1, 14, 7).items()},
+                     path)
+    with pytest.raises(FormatError, match="'decoder.w0'"):
+        pio.load_checkpoint(path)
 
 
 def test_block_ids_with_a_gap_are_format_error(tmp_path, capsys):
@@ -415,11 +442,24 @@ def test_checkpoint_loader_returns_or_raises_format_or_io_error(tmp_path, checkp
     except (FormatError, IoError):
         return
     assert isinstance(params, net.ModelParams) and isinstance(meta, dict)
+    layout = _layout_shapes(params.latent_dim, len(params.blocks), params.vertex_encoder.in_dim,
+                            params.edge_encoder.in_dim)
+    assert {name: t.data.shape for name, t in params.named_tensors().items()} == layout
     # every checkpoint that loads runs: its widths chain from the features to the accelerations
     graph = _tiny_graph(params.vertex_encoder.in_dim, params.edge_encoder.in_dim)
     with np.errstate(all="ignore"):  # a moved byte offset can read any float
         accel = net.forward_accelerations(graph, ScaleFactors(np.ones(3)), params, net.NetworkConfig(), 2)
     assert accel.shape == (3, 3)
+
+
+def _layout_shapes(d: int, depth: int, vertex_dim: int, edge_dim: int) -> dict:
+    """Name -> shape of every tensor of the checkpoint layout, from ``network.mlp_widths``."""
+    out = {"prop_norm.gain": (d,), "prop_norm.bias": (d,)}
+    for prefix, dims in net.mlp_widths(d, depth, vertex_dim, edge_dim).items():
+        for i, (fan_in, fan_out) in enumerate(zip(dims[:-1], dims[1:])):
+            out[f"{prefix}.w{i}"] = (fan_in, fan_out)
+            out[f"{prefix}.b{i}"] = (fan_out,)
+    return out
 
 
 def _tiny_graph(vertex_dim: int, edge_dim: int) -> SimGraph:
