@@ -7,7 +7,8 @@ rollouts and finite-difference probes cheap. The active tape is per thread
 (a context variable). ``Tape.backward`` frees each intermediate gradient once
 its node has pulled it, so only tracked leaves (``track=True``) keep ``.grad``;
 the nodes stay on the tape. ``affine(..., relu=True)`` fuses a hidden layer's
-ReLU into its affine node, so no pre-activation array is kept.
+ReLU into its affine node, so no pre-activation array is kept, and
+``lookup_affine`` keeps no edge-input matrix: its backward looks it up again.
 
 Wide products run as row blocks on the process's one worker pool
 (``worker_pool``): a row of ``x @ w`` or ``g @ w.T`` reduces over a feature
@@ -402,26 +403,30 @@ def scatter_add(values: Tensor, index, size: int) -> Tensor:
     return _record(out, (values,), pull)
 
 
-def gather_concat(parts: Sequence[tuple[Sequence[Tensor], np.ndarray | None]]) -> Tensor:
-    """Edge-input matrix: ``concat([gather(concat(sources, axis=0), index)
-    for sources, index in parts], axis=1)``, where a part with index None
-    takes its stacked sources' rows as they are.
+def lookup_affine(parts: Sequence[tuple[Sequence[Tensor], np.ndarray | None]], w: Tensor, b: Tensor,
+                  relu: bool = False) -> Tensor:
+    """``affine(x, w, b, relu)`` of the edge-input matrix ``x = concat([gather(
+    concat(sources, axis=0), index) for sources, index in parts], axis=1)``,
+    where a part with index None takes its stacked sources' rows as they are:
+    the first layer of the message and edge MLPs.
 
     The sources are 2-D, of one width and one dtype. Their distinct arrays
-    are stacked by rows in one table, and one ``gather`` on that untracked
-    table reads every column block; neither the table nor a gathered part is
-    kept. Data and gradients equal the gather/concat nodes' bit for bit: the
-    pull walks the parts in reverse, sums each column block with
-    ``segment_sum`` (a part with no index copies it) and accumulates the sum
-    into the part's sources in order.
+    are stacked by rows in one table; one ``gather`` on that untracked table
+    reads x and one ``affine`` on untracked Tensors multiplies it. The tape
+    keeps neither x nor the table, only the sources, the lookup index, w and
+    b: the pull looks x up again for the weight gradient ``x.T @ g`` and
+    frees it before ``g @ w.T``, whose column blocks it walks in reverse,
+    summing each with ``segment_sum`` (a part with no index copies it) into
+    the part's sources in order. Data and gradients equal the
+    gather/concat/affine nodes' bit for bit.
     """
     if not parts or not all(srcs for srcs, _ in parts):
-        raise InvalidArgument("gather_concat: need at least one part, each with a source")
+        raise InvalidArgument("lookup_affine: need at least one part, each with a source")
     sources = list({id(s): s for srcs, _ in parts for s in srcs}.values())   # distinct, in first-use order
     first = sources[0].data
     if any(s.data.ndim != 2 or s.data.shape[1] != first.shape[1] or s.data.dtype != first.dtype
            for s in sources):
-        raise InvalidArgument("gather_concat: sources must be 2-D, of one width and one dtype")
+        raise InvalidArgument("lookup_affine: sources must be 2-D, of one width and one dtype")
     width = first.shape[1]
     table_start = dict(zip(map(id, sources), np.cumsum([0] + [s.data.shape[0] for s in sources])))
     plans, columns = [], []
@@ -431,20 +436,32 @@ def gather_concat(parts: Sequence[tuple[Sequence[Tensor], np.ndarray | None]]) -
         if index is not None:
             index = np.asarray(index, dtype=np.int64)
             if index.ndim != 1 or (index.size and (index.min() < 0 or index.max() >= rows.size)):
-                raise InvalidArgument("gather_concat: index must be 1-D and within its sources' rows")
+                raise InvalidArgument("lookup_affine: index must be 1-D and within its sources' rows")
             rows = rows[index]
         plans.append((srcs, index))
         columns.append(rows)
     if any(c.size != columns[0].size for c in columns):
-        raise InvalidArgument("gather_concat: parts have different row counts")
-    table = Tensor(np.concatenate([s.data for s in sources]))
-    looked_up = gather(table, np.stack(columns, axis=1).reshape(-1)).data
-    out = Tensor(looked_up.reshape(columns[0].size, len(parts) * width))
+        raise InvalidArgument("lookup_affine: parts have different row counts")
+    lookup, shape = np.stack(columns, axis=1).reshape(-1), (columns[0].size, len(parts) * width)
+
+    def edge_inputs() -> np.ndarray:
+        table = Tensor(np.concatenate([s.data for s in sources]))
+        return gather(table, lookup).data.reshape(shape)
+
+    out = affine(Tensor(edge_inputs()), Tensor(w.data), Tensor(b.data), relu)
 
     def pull(g):
+        if relu:
+            g = g * (out.data > 0)
+        if w.tracked:   # the matrix lives only for this product
+            _acc(w, edge_inputs().T @ g)
+        _acc(b, g.sum(axis=0))
+        if not any(s.tracked for s in sources):
+            return
+        gx = _matmul(g, w.data.T)
         for j in reversed(range(len(plans))):
             srcs, index = plans[j]
-            block = g[:, j * width:(j + 1) * width]
+            block = gx[:, j * width:(j + 1) * width]
             summed = block.copy() if index is None else segment_sum(
                 block, index, sum(s.data.shape[0] for s in srcs))
             start = 0
@@ -452,7 +469,7 @@ def gather_concat(parts: Sequence[tuple[Sequence[Tensor], np.ndarray | None]]) -
                 _acc(s, summed[start:start + s.data.shape[0]])
                 start += s.data.shape[0]
 
-    return _record(out, tuple(sources), pull)
+    return _record(out, (*sources, w, b), pull)
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:

@@ -49,10 +49,13 @@ class Mlp:
     weights: list
     biases: list
 
-    def __call__(self, x: Tensor) -> Tensor:
+    def __call__(self, x) -> Tensor:
+        """``x`` is a Tensor, or the parts of an edge-input matrix, which the
+        first layer looks up (``dc.lookup_affine``)."""
         last = len(self.weights) - 1
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            x = dc.affine(x, w, b, relu=i < last)
+            layer = dc.affine if i or isinstance(x, Tensor) else dc.lookup_affine
+            x = layer(x, w, b, relu=i < last)
         return x
 
     @property
@@ -206,10 +209,7 @@ def propagate(latent: LatentGraph, k_steps: int, gamma: float, params: ModelPara
     h_body = dc.gather(latent.V, np.arange(n_g, n_total))
     for _ in range(k_steps):
         h_full = dc.concat([h_garment, h_body], axis=0)
-        # passed straight to the MLP so no local keeps it alive into the next round
-        # (rollout; a training tape keeps it for the weight gradient)
-        messages = params.message_fn(dc.gather_concat(
-            [([h_full], latent.receivers), ([h_full], latent.senders), ([latent.E], None)]))
+        messages = params.message_fn([([h_full], latent.receivers), ([h_full], latent.senders), ([latent.E], None)])
         aggregated = dc.scatter_add(messages, latent.receivers, n_g)
         normalized = dc.layer_norm(aggregated, params.norm_gain, params.norm_bias)
         h_garment = dc.add(dc.mul(h_garment, Tensor(gamma, dtype=h_garment.dtype)), normalized)
@@ -229,8 +229,7 @@ def process(latent: LatentGraph, v: Tensor, params: ModelParams) -> Tensor:
     v_body = dc.gather(latent.V, np.arange(n_g, latent.V.data.shape[0]))
     e = latent.E
     for block in params.blocks:
-        e = dc.add(e, block.edge_mlp(dc.gather_concat(
-            [([e], None), ([v], latent.receivers), ([v, v_body], latent.senders)])))
+        e = dc.add(e, block.edge_mlp([([e], None), ([v], latent.receivers), ([v, v_body], latent.senders)]))
         incoming = dc.scatter_add(e, latent.receivers, n_g)
         v = dc.add(v, block.vertex_mlp(dc.concat([v, incoming], axis=1)))
     return v

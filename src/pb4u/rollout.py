@@ -178,11 +178,19 @@ def aggregate_losses(losses: list) -> dict:
 
 
 def evaluation_report(ctx: SimContext, result: RolloutResult) -> dict:
+    """Per-frame losses, latency, world-edge count, deepest penetration and
+    greatest edge stretch (length over rest length) of a rollout from frame 0;
+    entry f describes the state at scene frame f + 1."""
+    scene = ctx.scene
     per_frame = []
     for f, row in enumerate(result.losses):
+        state = result.states[f]
+        pairs, _ = state.contacts(scene.body_mesh, scene.world_radius)   # found by the collision term
+        penetration, _, stretch = scene.extremes(state.garment_pos, f + 1)
         entry = {"frame": f}
         entry.update(row.as_dict())
-        entry["latency_ms"] = result.latencies_ms[f]
+        entry.update(latency_ms=result.latencies_ms[f], world_edges=int(pairs.shape[0]),
+                     max_penetration=penetration, max_stretch=stretch)
         per_frame.append(entry)
     return {
         "frames": per_frame,

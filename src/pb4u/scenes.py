@@ -163,6 +163,14 @@ class Scene:
         gaps = np.linalg.norm(garment_pos - center, axis=1) - self.body.radius
         return float(max(0.0, -gaps.min()))
 
+    def extremes(self, garment_pos: np.ndarray, frame: int) -> tuple[float, float, float]:
+        """The deepest penetration into the body at a frame, and the least and
+        greatest ratio of a garment edge's length to its rest length."""
+        edges = self.garment.edges
+        lengths = np.linalg.norm(garment_pos[edges[:, 1]] - garment_pos[edges[:, 0]], axis=1)
+        ratio = lengths / self.garment.rest_edge_lengths
+        return self.max_penetration(garment_pos, frame), float(ratio.min()), float(ratio.max())
+
 
 def sample_frame(scene: Scene, rng: np.random.Generator) -> BufferedFrame:
     """Uniform draw from the scene's populated rollout buffer."""

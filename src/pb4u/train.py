@@ -162,12 +162,10 @@ def _state_is_sane(scene: Scene, state: SimState, frame: int) -> bool:
         return False
     if float(np.linalg.norm(state.garment_vel, axis=1).max()) > _SANE_SPEED:
         return False
-    if scene.max_penetration(state.garment_pos, frame) > _REROLL_PENETRATION_FRACTION * scene.body.radius:
+    penetration, least, greatest = scene.extremes(state.garment_pos, frame)
+    if penetration > _REROLL_PENETRATION_FRACTION * scene.body.radius:
         return False
-    edges = scene.garment.edges
-    lengths = np.linalg.norm(state.garment_pos[edges[:, 1]] - state.garment_pos[edges[:, 0]], axis=1)
-    ratio = lengths / scene.garment.rest_edge_lengths
-    return bool(ratio.max() <= _SANE_STRETCH and ratio.min() >= 1.0 / _SANE_STRETCH)
+    return greatest <= _SANE_STRETCH and least >= 1.0 / _SANE_STRETCH
 
 
 def refresh_buffer(scene: Scene, ctx: SimContext, params, use_model: bool) -> None:

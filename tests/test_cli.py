@@ -207,6 +207,28 @@ def test_eval_report_contract(workdir, tmp_path):
     assert all(np.isfinite(row["latency_ms"]) for row in report["frames"])
 
 
+def test_eval_report_frame_geometry(workdir, tmp_path):
+    """Each report frame's world-edge count, deepest penetration and greatest
+    edge stretch, recomputed by brute force from the rollout's OBJ frames."""
+    common = ["--ckpt", str(workdir / "model.ckpt"), "--scene", str(workdir / "scene.json"), "--frames", "4"]
+    assert main(["eval", *common, "--report", str(tmp_path / "report.json")]) == 0
+    assert main(["rollout", *common, "--out-dir", str(tmp_path / "frames"), "--metrics", str(tmp_path / "m.csv")]) == 0
+    frames = json.loads((tmp_path / "report.json").read_text())["frames"]
+    scene = pio.load_scene(workdir / "scene.json")
+    rest = scene.garment.rest_positions
+    i, j = scene.garment.edges.T
+    for f, row in enumerate(frames):
+        pos = load_obj_mesh(tmp_path / "frames" / f"frame_{f:04d}.obj").rest_positions
+        body = scene.body_positions(f + 1)
+        delta = pos[:, None, :] - body[None, :, :]
+        assert row["world_edges"] == int(((delta * delta).sum(axis=2) < scene.world_radius ** 2).sum())
+        depth = scene.body.radius - np.sqrt(((pos - scene.body.center_at((f + 1) * scene.dt)) ** 2).sum(axis=1))
+        assert row["max_penetration"] == pytest.approx(max(0.0, depth.max()), rel=1e-12, abs=1e-15)
+        ratio = np.sqrt(((pos[j] - pos[i]) ** 2).sum(axis=1) / ((rest[j] - rest[i]) ** 2).sum(axis=1))
+        assert row["max_stretch"] == pytest.approx(ratio.max(), rel=1e-12)
+    assert any(row["world_edges"] > 0 for row in frames)
+
+
 def test_eval_subdivided_scene_needs_k_at_least_base(workdir, tmp_path):
     scene = pio.load_scene(workdir / "scene.json")
     fine_doc = json.loads((workdir / "scene.json").read_text())

@@ -130,13 +130,14 @@ def _random_inputs(name, r):
         idx = np.array([4, 0, 0, 2, 3, 1])
         c = dc.Tensor(r.normal(size=(6, d)))
         return lambda x: dc.sum_all(dc.mul(dc.gather(x, idx), c)), [a]
-    if name == "gather_concat":
+    if name == "lookup_affine":
         # a source in two parts, a two-source part and a part with no index
         a, b, e = leaf(r.normal(size=(4, 3))), leaf(r.normal(size=(2, 3))), leaf(r.normal(size=(6, 3)))
+        w, bias = leaf(r.normal(size=(9, 2))), leaf(r.normal(size=2))
         first, second = np.array([5, 0, 4, 4, 1, 3]), np.array([3, 3, 0, 2, 1, 0])
-        c = dc.Tensor(r.normal(size=(6, 9)))
-        return lambda x, y, z: dc.sum_all(dc.mul(
-            dc.gather_concat([([x, y], first), ([z], None), ([x], second)]), c)), [a, b, e]
+        c = dc.Tensor(r.normal(size=(6, 2)))
+        return lambda x, y, z, u, v: dc.sum_all(dc.mul(
+            dc.lookup_affine([([x, y], first), ([z], None), ([x], second)], u, v), c)), [a, b, e, w, bias]
     if name == "scatter_add":
         a = leaf(r.normal(size=(6, d)))
         idx = np.array([2, 0, 2, 1, 0, 2])
@@ -175,7 +176,7 @@ def _random_inputs(name, r):
 
 PRIMITIVES = [
     "add", "sub", "mul", "div", "scalar_mix", "affine", "affine_relu", "relu", "concat",
-    "sum", "gather", "gather_concat", "scatter_add", "layer_norm", "sqrt", "dot", "cross3",
+    "sum", "gather", "lookup_affine", "scatter_add", "layer_norm", "sqrt", "dot", "cross3",
     "pow3", "atan2", "scale_rows",
 ]
 
@@ -249,62 +250,75 @@ def test_segment_sum_matches_loop_oracle_bitwise(case):
     assert got.tobytes() == expected.tobytes()   # signed zeros included
 
 
-def _propagate_inputs(fused, graph, h_garment, h_body, e):
+def _gather_concat_nodes(parts):
+    """The edge-input matrix of ``parts`` as gather and concat nodes."""
+    return dc.concat([dc.concat(srcs, axis=0) if index is None else dc.gather(dc.concat(srcs, axis=0), index)
+                      for srcs, index in parts], axis=1)
+
+
+def _propagate_parts(graph, h_garment, h_body, e):
     h_full = dc.concat([h_garment, h_body], axis=0)
-    if fused:
-        return dc.gather_concat([([h_full], graph.receivers), ([h_full], graph.senders), ([e], None)])
-    return dc.concat([dc.gather(h_full, graph.receivers), dc.gather(h_full, graph.senders), e], axis=1)
+    return [([h_full], graph.receivers), ([h_full], graph.senders), ([e], None)]
 
 
-def _process_inputs(fused, graph, v, v_body, e):
-    if fused:
-        return dc.gather_concat([([e], None), ([v], graph.receivers), ([v, v_body], graph.senders)])
-    v_dst = dc.gather(v, graph.receivers)
-    v_src = dc.gather(dc.concat([v, v_body], axis=0), graph.senders)
-    return dc.concat([e, v_dst, v_src], axis=1)
+def _process_parts(graph, v, v_body, e):
+    return [([e], None), ([v], graph.receivers), ([v, v_body], graph.senders)]
 
 
+@pytest.mark.parametrize("size", [1, 2])
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-@pytest.mark.parametrize("build", [_propagate_inputs, _process_inputs], ids=["propagate", "process"])
-def test_gather_concat_matches_gather_concat_nodes_bitwise(build, dtype):
-    """Forward data and every source gradient of the op (fused) and of the
-    gather/concat nodes it replaces, on a drape frame with world edges."""
+@pytest.mark.parametrize("layout", [_propagate_parts, _process_parts], ids=["propagate", "process"])
+def test_lookup_affine_matches_gather_concat_affine_nodes_bitwise(layout, dtype, size, monkeypatch):
+    """Forward data and the gradients of every source, w and b of the op and
+    of the gather/concat/affine nodes it replaces, on a drape frame with
+    world edges, with the products split into row blocks over the pool."""
     scene = pio.scene_from_dict(drape_sphere_preset(6, frames=4))
     graph = build_graph(scene.initial_state(), scene.garment, scene.body_mesh, scene.world_radius, dtype=dtype)
     assert graph.world_edges.shape[0] > 0
-    width = 2 * dc.WIDE_ROWS   # the pull's sums take the wide-row path
+    width = 2 * dc.WIDE_ROWS   # the pull's sums take the wide-row path, the products may split
     n_g, n_total, n_edges = graph.garment_count, graph.vertex_features.shape[0], graph.receivers.size
+    monkeypatch.setattr(dc, "ROW_BLOCK", 64)   # a small frame's rows still make several blocks
+    assert n_edges >= 3 * dc.ROW_BLOCK
     results = []
-    for fused in (True, False):
-        r = rng(31)
-        sources = [dc.Tensor(r.normal(size=(n, width)).astype(dtype), track=True) for n in (n_g, n_total - n_g, n_edges)]
-        w = dc.Tensor(r.normal(size=(3 * width, width)).astype(dtype), track=True)
-        b = dc.Tensor(r.normal(size=width).astype(dtype), track=True)
-        weights = [dc.Tensor(r.normal(size=t.shape).astype(dtype)) for t in sources]
-        c_hidden = dc.Tensor(r.normal(size=(n_edges, width)).astype(dtype))
-        tape = dc.Tape()
-        with dc.recording(tape):
-            inputs = build(fused, graph, *sources)
-            # the sources are read again after the op, so their gradients
-            # already hold a term when its pull runs, as in the network
-            total = dc.sum_all(dc.mul(dc.affine(inputs, w, b, relu=True), c_hidden))
-            for t, c in zip(sources, weights):
-                total = dc.add(total, dc.sum_all(dc.mul(t, c)))
-        tape.backward(total)
-        results.append((inputs.data, [t.grad for t in sources + [w]]))
+    with worker_pool_of(size) as pool:
+        for fused in (True, False):
+            r = rng(31)
+            sources = [dc.Tensor(r.normal(size=(n, width)).astype(dtype), track=True)
+                       for n in (n_g, n_total - n_g, n_edges)]
+            w = dc.Tensor(r.normal(size=(3 * width, width)).astype(dtype), track=True)
+            b = dc.Tensor(r.normal(size=width).astype(dtype), track=True)
+            weights = [dc.Tensor(r.normal(size=t.shape).astype(dtype)) for t in sources]
+            c_hidden = dc.Tensor(r.normal(size=(n_edges, width)).astype(dtype))
+            tape = dc.Tape()
+            with dc.recording(tape):
+                parts = layout(graph, *sources)
+                hidden = (dc.lookup_affine(parts, w, b, relu=True) if fused
+                          else dc.affine(_gather_concat_nodes(parts), w, b, relu=True))
+                # the sources are read again after the op, so their gradients
+                # already hold a term when its pull runs, as in the network
+                total = dc.sum_all(dc.mul(hidden, c_hidden))
+                for t, c in zip(sources, weights):
+                    total = dc.add(total, dc.sum_all(dc.mul(t, c)))
+            tape.backward(total)
+            results.append((hidden.data, [t.grad for t in sources + [w, b]]))
+        # each run's x @ w and g @ w.T asked size - 1 workers for help
+        assert len(pool.submitted) == 2 * 2 * (size - 1)
     (fused_data, fused_grads), (oracle_data, oracle_grads) = results
     assert fused_data.dtype == dtype and fused_data.tobytes() == oracle_data.tobytes()
     for got, expected in zip(fused_grads, oracle_grads):
         assert got is not None and got.dtype == dtype and got.tobytes() == expected.tobytes()
 
 
-def test_gather_concat_rejects_bad_parts():
+def test_lookup_affine_rejects_bad_parts():
     a, b = dc.Tensor(np.zeros((3, 2))), dc.Tensor(np.zeros((3, 4)))
+    w, bias = dc.Tensor(np.zeros((2, 1))), dc.Tensor(np.zeros(1))
     for parts in ([], [([], None)], [([a], None), ([b], None)], [([a], np.array([0, 3]))],
                   [([a], None), ([a], np.array([0, 1]))], [([a], np.zeros((3, 1), dtype=np.int64))],
                   [([a], None), ([dc.Tensor(np.zeros((3, 2), dtype=np.float32))], None)]):
         with pytest.raises(InvalidArgument):
-            dc.gather_concat(parts)
+            dc.lookup_affine(parts, w, bias)
+    with pytest.raises(InvalidArgument):   # the matrix is 3 x 4, w takes 2 rows
+        dc.lookup_affine([([a], None), ([a], None)], w, bias)
 
 
 def test_scatter_then_gather_roundtrips_per_index_sums():
@@ -375,7 +389,10 @@ def test_backward_frees_every_intermediate_gradient():
 
 
 def _oracle_mlp_call(self, x):
-    """The unfused hidden layer: a separate affine node, then a relu node."""
+    """The unfused layers: an edge-input matrix of gather and concat nodes,
+    and each hidden layer a separate affine node, then a relu node."""
+    if not isinstance(x, dc.Tensor):
+        x = _gather_concat_nodes(x)
     last = len(self.weights) - 1
     for i, (w, b) in enumerate(zip(self.weights, self.biases)):
         x = dc.affine(x, w, b)
@@ -442,8 +459,9 @@ def test_gradients_own_their_memory():
 
     x, y = leaf(r.normal(size=(4, 3))), leaf(r.normal(size=(2, 3)))
     up = r.normal(size=(6, 6))   # x and y each in two parts, at both ends of the stacked rows
-    run_backward(lambda x, y: dc.sum_all(dc.mul(dc.gather_concat([([x, y], None), ([y, x], None)]), dc.Tensor(up))),
-                 x, y)
+    identity = (dc.Tensor(np.eye(6)), dc.Tensor(np.zeros(6)))   # g @ w.T is g itself
+    run_backward(lambda x, y: dc.sum_all(dc.mul(dc.lookup_affine([([x, y], None), ([y, x], None)], *identity),
+                                                dc.Tensor(up))), x, y)
     _assert_no_shared_memory([x.grad, y.grad])
     assert np.array_equal(x.grad, up[:4, :3] + up[2:, 3:]) and np.array_equal(y.grad, up[4:, :3] + up[:2, 3:])
 

@@ -478,3 +478,43 @@ def test_network_backward_through_body_rows_matches_finite_differences():
 
     encoder = params.vertex_encoder
     assert dc.grad_check(objective, [encoder.weights[2], encoder.biases[2]]) <= 1e-6
+
+
+def _arrays_held(value, seen):
+    """The ndarrays ``value`` reaches: itself, a Tensor's data, the items of a
+    tuple or list, and what the cells of a function's closure hold."""
+    if id(value) in seen:
+        return
+    seen.add(id(value))
+    if isinstance(value, np.ndarray):
+        yield value
+    elif isinstance(value, Tensor):
+        yield value.data
+    elif isinstance(value, (tuple, list)):
+        for item in value:
+            yield from _arrays_held(item, seen)
+    elif callable(value):
+        for cell in getattr(value, "__closure__", None) or ():
+            yield from _arrays_held(cell.cell_contents, seen)
+
+
+def test_training_tape_keeps_no_edge_input_matrix():
+    """After a train-base-sized forward (grid-24 drape, latent 128, K = 8,
+    depth 3) under a tape, no node's output and nothing its pull's closure
+    holds is an (E, k d) edge-input matrix: the edge MLPs' first layers look
+    their rows up again in backward."""
+    d = 128
+    scene = pio.scene_from_dict(drape_sphere_preset(24, 1.0, frames=8))
+    config = net.NetworkConfig(latent_dim=d, processor_depth=3)
+    ctx = SimContext.build(scene, config, calibrate(8, mean_edge_length(scene.garment)))
+    assert ctx.k_steps == 8
+    params = net.init_params(config, seed=0, dtype=np.float32)
+    state = scene.initial_state()
+    tape = dc.Tape()
+    with dc.recording(tape):
+        advance(ctx, state, 0, params)
+    n_edges = build_graph(state, scene.garment, scene.body_mesh, scene.world_radius).receivers.size
+    seen = set()
+    shapes = {a.shape for node in tape.nodes for held in (node.out, node.pull) for a in _arrays_held(held, seen)}
+    assert (n_edges, d) in shapes   # the walk reaches the edge latents and messages
+    assert not shapes & {(n_edges, 2 * d), (n_edges, 3 * d)}
