@@ -16,7 +16,13 @@ digests exactly when a change keeps the outputs bit-for-bit equal:
     a buffer refresh every 2 iterations and 2-step rollouts, so pinned
     vertices pass through free fall, model refreshes and training steps;
   - ``gradcheck``: the ``repr`` of ``validate.energy_gradchecks(seed)``
-    (the ``pb4u gradcheck`` errors) for seeds 0-3.
+    (the ``pb4u gradcheck`` errors) for seeds 0-3;
+  - ``cli-files``: the bytes of every file a fixed CLI session writes
+    (``gen-scene`` hang-pinned grid 8, a 3-iteration ``train`` at
+    ``latent_dim`` 16, ``rollout``, ``eval``, ``sweep-k`` and ``subdivide``):
+    the scene, checkpoint, train log, metrics CSV, OBJ frames, sweep CSV,
+    subdivided OBJ and the eval report without its ``latency_ms`` and
+    ``latency_ms_mean`` lines, the only wall times written.
 
 BLAS runs on one thread, as in the benchmark. ``--against DIR`` also runs
 this script on the checkout DIR, in a subprocess with the same environment,
@@ -28,8 +34,11 @@ import os
 os.environ["OPENBLAS_NUM_THREADS"] = os.environ["OMP_NUM_THREADS"] = "1"   # before numpy loads BLAS
 
 import argparse
+import contextlib
 import dataclasses
 import hashlib
+import io
+import json
 import subprocess
 import sys
 import tempfile
@@ -47,6 +56,7 @@ import numpy as np  # noqa: E402
 import workloads as wl  # noqa: E402
 from pb4u import io as pio  # noqa: E402
 from pb4u import validate  # noqa: E402
+from pb4u.cli import main as cli  # noqa: E402
 from pb4u.rollout import SimContext, run_rollout  # noqa: E402
 from pb4u.scenes import hang_pinned_preset  # noqa: E402
 from pb4u.train import TrainConfig, train  # noqa: E402
@@ -61,6 +71,35 @@ def put_array(h, a) -> None:
 def put_row(h, row) -> None:
     for field in dataclasses.fields(row):
         h.update(f"{field.name}={getattr(row, field.name)!r};".encode())
+
+
+def cli_files(tmp: Path) -> str:
+    """sha256 over the relative path and bytes of every file the session writes
+    under ``tmp / "out"``, in path order."""
+    out = tmp / "out"
+    scene, ckpt, config = out / "scene.json", out / "model.ckpt", tmp / "train.json"
+    config.write_text(json.dumps({"scenes": [str(scene)], "iterations": 3, "latent_dim": 16}))
+    roll = ["--ckpt", str(ckpt), "--scene", str(scene), "--frames", "3"]
+    session = [
+        ["gen-scene", "--preset", "hang-pinned", "--grid", "8", "--out", str(scene)],
+        ["train", "--config", str(config), "--out", str(ckpt)],
+        ["rollout", *roll, "--out-dir", str(out / "frames"), "--metrics", str(out / "metrics.csv")],
+        ["eval", *roll, "--report", str(out / "report.json")],
+        ["sweep-k", *roll, "--k-range", "1:3", "--out", str(out / "sweep.csv")],
+        ["subdivide", "--in", str(out / "frames" / "frame_0002.obj"), "--levels", "1", "--out", str(out / "fine.obj")],
+    ]
+    out.mkdir()
+    for argv in session:
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli(argv)
+        if code:
+            sys.exit(f"pb4u {argv[0]} exited {code}")
+    h = hashlib.sha256()
+    for path in sorted(p for p in out.rglob("*") if p.is_file()):
+        lines = path.read_bytes().splitlines(keepends=True)
+        h.update(f"{path.relative_to(out)}\n".encode())
+        h.update(b"".join(line for line in lines if not line.lstrip().startswith(b'"latency_ms')))
+    return h.hexdigest()
 
 
 def digests():
@@ -109,6 +148,8 @@ def digests():
     for seed in range(4):
         h.update(repr(validate.energy_gradchecks(seed)).encode())
     yield f"gradcheck          {h.hexdigest()}"
+    with tempfile.TemporaryDirectory() as tmp:
+        yield f"cli-files          {cli_files(Path(tmp))}"
 
 
 def main() -> int:

@@ -31,9 +31,9 @@ from .errors import (
     InvalidArgument,
     InvalidMesh,
     InvalidState,
-    IoError,
     NumericDivergence,
     UsageError,
+    write_file,
 )
 from .graph import EDGE_FEATURE_DIM, VERTEX_FEATURE_DIM
 from .mesh import load_obj_mesh, subdivide_midpoint, write_obj
@@ -197,9 +197,7 @@ def _cmd_rollout(args) -> int:
 def _cmd_eval(args) -> int:
     ctx, result = _roll(args)
     report = evaluation_report(ctx, result)
-    with open(args.report, "w", newline="\n") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_file(args.report, json.dumps(report, indent=2, sort_keys=True) + "\n", "report")
     print(f"evaluated {len(result.losses)} frames at K={ctx.k_steps}; report: {args.report}")
     if result.diverged:
         print(f"numeric divergence at frame {result.diverged_at}", file=sys.stderr)
@@ -222,8 +220,9 @@ def _cmd_sweep_k(args) -> int:
     lo, hi = _parse_k_range(args.k_range)
     params, config, ctrl = _load_model(args.ckpt)
 
+    scene = pio.load_scene(args.scene)  # shared by the points: a rollout never mutates its scene
+
     def evaluate(k: int):
-        scene = pio.load_scene(args.scene)  # fresh scene per worker: no shared state
         ctx = SimContext.build(scene, config, ctrl, forced_k=k)
         result = run_rollout(ctx, params, args.frames)
         totals = [row.total for row in result.losses]
@@ -231,10 +230,7 @@ def _cmd_sweep_k(args) -> int:
         return k, mean_total, result.diverged
 
     rows = list(dc.worker_pool().map(evaluate, range(lo, hi + 1)))
-    with open(args.out, "w", newline="\n") as fh:
-        fh.write("k,total\n")
-        for k, total, _ in rows:
-            fh.write(f"{k},{total!r}\n")
+    write_file(args.out, "k,total\n" + "".join(f"{k},{total!r}\n" for k, total, _ in rows), "sweep-k CSV")
     print(f"swept K={lo}..{hi} over {args.frames} frames -> {args.out}")
     if any(diverged for _, _, diverged in rows):
         print("some sweep points diverged", file=sys.stderr)
@@ -274,7 +270,7 @@ def main(argv=None) -> int:
     except (InvalidArgument, InvalidMesh, InvalidState) as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return 1
-    except (IoError, FormatError, ConfigMismatch) as exc:
+    except (OSError, FormatError, ConfigMismatch) as exc:   # IoError is an OSError, as is a failed mkdir
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NumericDivergence as exc:

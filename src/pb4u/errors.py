@@ -1,7 +1,9 @@
-"""Exception taxonomy shared across the engine.
+"""Exception taxonomy shared across the engine, and the one file boundary.
 
 The CLI maps these onto stable exit codes (see cli.py), so raise the most
-specific class available.
+specific class available. Every file the engine reads or writes goes through
+``read_file``, ``read_text`` or ``write_file``, which turn an ``OSError`` into
+``IoError`` naming the file.
 """
 
 
@@ -43,3 +45,31 @@ class ConfigMismatch(Pb4uError, ValueError):
 
 class UsageError(Pb4uError, ValueError):
     """Bad command-line invocation."""
+
+
+def read_file(path, what: str) -> bytes:
+    """The bytes of the file at ``path``; ``what`` names it in an ``IoError``."""
+    try:
+        with open(path, "rb") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise IoError(f"cannot read {what} {path}: {exc}") from exc
+
+
+def read_text(path, what: str) -> str:
+    """The file at ``path`` as UTF-8 text; other bytes are a ``FormatError``."""
+    data = read_file(path, what)
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 text: {exc}") from exc
+
+
+def write_file(path, data, what: str) -> None:
+    """Write ``data`` to ``path``: a str as UTF-8 with its own line ends, or a
+    sequence of byte chunks as given."""
+    try:
+        with open(path, "wb") as fh:
+            fh.writelines([data.encode("utf-8")] if isinstance(data, str) else data)
+    except OSError as exc:
+        raise IoError(f"cannot write {what} {path}: {exc}") from exc

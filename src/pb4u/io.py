@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigMismatch, FormatError, InvalidArgument, InvalidMesh, IoError
+from .errors import ConfigMismatch, FormatError, InvalidArgument, InvalidMesh, IoError, read_file, read_text, write_file
 from .mesh import MaterialParams, load_obj_mesh, make_grid_cloth
 from .network import Mlp, ModelParams, assemble_params, mlp_widths
 from .diffcore import Tensor
@@ -65,35 +65,24 @@ def _decode_meta_scalar(lanes: np.ndarray, path, key: str) -> float:
 
 def save_tensors(named: dict[str, np.ndarray], path) -> None:
     header: dict[str, dict] = {}
-    chunks: list[bytes] = []
-    offset = 0
+    payload: list[bytes] = []
+    offset = crc = 0
     for name in sorted(named):
         arr = np.asarray(named[name], dtype="<f4")  # round-to-nearest-even from wider floats
         if arr.ndim and not arr.flags.c_contiguous:
             arr = np.ascontiguousarray(arr)
         blob = arr.tobytes()
         header[name] = {"dtype": "f32", "shape": list(arr.shape), "byte_offset": offset}
-        chunks.append(blob)
+        payload.append(blob)
         offset += len(blob)
-    payload = b"".join(chunks)
+        crc = zlib.crc32(blob, crc)
     header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    try:
-        with open(path, "wb") as fh:
-            fh.write(MAGIC)
-            fh.write(struct.pack("<I", VERSION))
-            fh.write(struct.pack("<Q", len(header_bytes)))
-            fh.write(header_bytes)
-            fh.write(payload)
-            fh.write(struct.pack("<I", zlib.crc32(payload) & 0xFFFFFFFF))
-    except OSError as exc:
-        raise IoError(f"cannot write checkpoint {path}: {exc}") from exc
+    head = [MAGIC, struct.pack("<IQ", VERSION, len(header_bytes)), header_bytes]
+    write_file(path, [*head, *payload, struct.pack("<I", crc)], "checkpoint")
 
 
 def load_tensors(path) -> dict[str, np.ndarray]:
-    try:
-        blob = Path(path).read_bytes()
-    except OSError as exc:
-        raise IoError(f"cannot read checkpoint {path}: {exc}") from exc
+    blob = read_file(path, "checkpoint")
     fixed = len(MAGIC) + 4 + 8
     if len(blob) < fixed:
         raise IoError(f"{path}: truncated before header ({len(blob)} bytes, need {fixed})")
@@ -239,24 +228,19 @@ def _reals(values, what: str, length: int) -> list:
     return [_real(v, what) for v in values]
 
 
-def save_scene(scene_dict: dict, path) -> None:
+def _read_json(path, what: str):
     try:
-        with open(path, "w", newline="\n") as fh:
-            json.dump(scene_dict, fh, sort_keys=True, indent=2)
-            fh.write("\n")
-    except OSError as exc:
-        raise IoError(f"cannot write scene {path}: {exc}") from exc
+        return json.loads(read_text(path, what))
+    except json.JSONDecodeError as exc:
+        raise FormatError(f"{path}: invalid JSON: {exc}") from exc
+
+
+def save_scene(scene_dict: dict, path) -> None:
+    write_file(path, json.dumps(scene_dict, sort_keys=True, indent=2) + "\n", "scene")
 
 
 def load_scene(path) -> Scene:
-    try:
-        with open(path, "r") as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise IoError(f"cannot read scene {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"{path}: invalid JSON: {exc}") from exc
-    return scene_from_dict(doc, base_dir=Path(path).parent)
+    return scene_from_dict(_read_json(path, "scene"), base_dir=Path(path).parent)
 
 
 def scene_from_dict(doc: dict, base_dir: Path | None = None) -> Scene:
@@ -341,13 +325,7 @@ _TRAIN_KEYS = {f.name for f in dataclasses.fields(TrainConfig)}
 
 
 def load_train_config(path):
-    try:
-        with open(path, "r") as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise IoError(f"cannot read training config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"{path}: invalid JSON: {exc}") from exc
+    doc = _read_json(path, "training config")
     _require(isinstance(doc, dict), "training config must be a JSON object")
     unknown = set(doc) - _TRAIN_KEYS
     _require(not unknown, f"unknown training config fields: {sorted(unknown)}")

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diffcore import segment_sum
-from .errors import FormatError, InvalidArgument, InvalidMesh, IoError
+from .errors import FormatError, InvalidArgument, InvalidMesh, read_text, write_file
 
 _MIN_AREA = 1e-14
 
@@ -204,21 +204,11 @@ def write_obj(path, positions: np.ndarray, triangles: np.ndarray) -> None:
         lines.append(f"v {float(x)!r} {float(y)!r} {float(z)!r}")
     for i, j, k in np.asarray(triangles, dtype=np.int64):
         lines.append(f"f {i + 1} {j + 1} {k + 1}")
-    try:
-        with open(path, "w", newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")
-    except OSError as exc:
-        raise IoError(f"cannot write OBJ {path}: {exc}") from exc
+    write_file(path, "\n".join(lines) + "\n", "OBJ")
 
 
 def read_obj(path) -> tuple[np.ndarray, np.ndarray]:
-    try:
-        with open(path, "r") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise IoError(f"cannot read OBJ {path}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise FormatError(f"{path}: not UTF-8 text: {exc}") from exc
+    text = read_text(path, "OBJ")
     verts: list[tuple[float, float, float]] = []
     faces: list[tuple[int, int, int]] = []
     for lineno, line in enumerate(text.splitlines(), start=1):

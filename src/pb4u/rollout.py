@@ -15,7 +15,7 @@ from . import network as net
 from . import physics
 from .control import ControlConfig, propagation_steps
 from .diffcore import Tensor
-from .errors import NumericDivergence
+from .errors import NumericDivergence, write_file
 from .graph import SimState
 from .mesh import ScaleFactors, mean_edge_length, rest_scale_factors, write_obj
 from .physics import LossBreakdown, LossWeights
@@ -167,8 +167,7 @@ def write_loss_csv(rows: list, path, index: str, columns: tuple) -> None:
     lines = [f"{index}," + ",".join(columns)]
     for i, row in enumerate(rows):
         lines.append(f"{i}," + ",".join(repr(row[c]) for c in columns))
-    with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_file(path, "\n".join(lines) + "\n", "loss CSV")
 
 
 def aggregate_losses(losses: list) -> dict:

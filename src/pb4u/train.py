@@ -21,7 +21,7 @@ import numpy as np
 from . import diffcore as dc
 from . import network as net
 from .control import ControlConfig, calibrate
-from .errors import InvalidArgument, NumericDivergence
+from .errors import InvalidArgument, NumericDivergence, write_file
 from .graph import SimState
 from .mesh import mean_edge_length, write_obj
 from .physics import LOSS_TERMS, LossBreakdown, LossWeights
@@ -290,5 +290,5 @@ def _dump_divergence(diagnostics_dir, iteration: int, entry: BufferedFrame, scen
         "min_y": float(entry.state.garment_pos[:, 1].min()),
         "max_speed": float(np.linalg.norm(entry.state.garment_vel, axis=1).max()),
     }
-    with open(out / f"diverged_iter{iteration:06d}.json", "w") as fh:
-        json.dump(info, fh, indent=2, sort_keys=True)
+    write_file(out / f"diverged_iter{iteration:06d}.json", json.dumps(info, indent=2, sort_keys=True),
+               "divergence report")

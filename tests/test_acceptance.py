@@ -265,7 +265,7 @@ def test_criterion_07_physics_zero_and_reference_cases():
     )
     tri_rest = physics.build_rest_geometry(tri)
     energy = physics.stretch_energy(Tensor(2.0 * tri.rest_positions), tri_rest, material, tri.triangles)
-    assert abs(energy.item() - 4.5) <= 1e-9
+    assert abs(float(energy.data) - 4.5) <= 1e-9
 
     # single penetration d = -1e-3 with margin 1e-3: exactly (2e-3)^3
     penalty = physics.collision_penalty(
@@ -275,8 +275,8 @@ def test_criterion_07_physics_zero_and_reference_cases():
         build_world_edges(np.array([[0.0, -1e-3, 0.0]]), np.array([[0.0, 0.0, 0.0]]), 0.2),
         margin=1e-3,
     )
-    assert penalty.item() == (2e-3) * (2e-3) * (2e-3)
-    assert abs(penalty.item() - 8e-9) < 1e-22
+    assert float(penalty.data) == (2e-3) * (2e-3) * (2e-3)
+    assert abs(float(penalty.data) - 8e-9) < 1e-22
     assert time.perf_counter() - started < 1.0
 
 

@@ -401,6 +401,44 @@ def test_corrupt_checkpoint_exit_code(workdir, tmp_path):
     assert rc == 2
 
 
+def _unwritable_or_undecodable(case, workdir, tmp_path):
+    """The argv of one case and the path its error must name."""
+    ckpt, scene = str(workdir / "model.ckpt"), str(workdir / "scene.json")
+    folder, file = tmp_path / "folder", tmp_path / "file"
+    folder.mkdir()
+    file.write_text("")
+    roll = ["--ckpt", ckpt, "--scene", scene, "--frames", "1"]
+    cfg = tmp_path / "train.json"
+    cfg.write_text(json.dumps({"scenes": [scene], "iterations": 1, "latent_dim": 4, "processor_depth": 0}))
+    bad = tmp_path / "bad.json"
+    if case == "eval --report DIR":
+        return ["eval", *roll, "--report", str(folder)], folder
+    if case == "rollout --metrics DIR":
+        return ["rollout", *roll, "--out-dir", str(tmp_path / "frames"), "--metrics", str(folder)], folder
+    if case == "rollout --out-dir FILE":
+        return ["rollout", *roll, "--out-dir", str(file), "--metrics", str(tmp_path / "m.csv")], file
+    if case == "sweep-k --out DIR":
+        return ["sweep-k", *roll, "--k-range", "1:2", "--out", str(folder)], folder
+    if case == "train --log DIR":
+        return ["train", "--config", str(cfg), "--out", str(tmp_path / "m.ckpt"), "--log", str(folder)], folder
+    if case == "scene not UTF-8":
+        bad.write_bytes((workdir / "scene.json").read_bytes().replace(b'"pb4u-scene"', b'"pb4u-scene\xff"'))
+        return ["eval", "--ckpt", ckpt, "--scene", str(bad), "--frames", "1", "--report", str(tmp_path / "r")], bad
+    bad.write_bytes(cfg.read_bytes().replace(b'"scenes": [', b'"scenes": ["\xff", '))
+    return ["train", "--config", str(bad), "--out", str(tmp_path / "m.ckpt")], bad
+
+
+@pytest.mark.parametrize("case", [
+    "eval --report DIR", "rollout --metrics DIR", "rollout --out-dir FILE", "sweep-k --out DIR",
+    "train --log DIR", "scene not UTF-8", "training config not UTF-8",
+])
+def test_unwritable_output_or_undecodable_input_is_io_error(workdir, tmp_path, capsys, case):
+    argv, named = _unwritable_or_undecodable(case, workdir, tmp_path)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and str(named) in err
+
+
 @pytest.mark.parametrize("field, value", [("shape", ["a"]), ("shape", 5), ("shape", [2, -2]), ("byte_offset", "x")],
                          ids=lambda v: v if v in ("shape", "byte_offset") else json.dumps(v))
 def test_eval_bad_checkpoint_header_entry_is_format_error(workdir, tmp_path, capsys, field, value):

@@ -43,7 +43,7 @@ def run_backward(fn, *inputs):
 def test_square_derivative_at_three():
     x = leaf(3.0)
     out, _ = run_backward(lambda t: dc.mul(t, t), x)
-    assert out.item() == 9.0
+    assert float(out.data) == 9.0
     assert x.grad == pytest.approx(6.0, abs=0.0)
 
 
@@ -649,7 +649,7 @@ def test_dtype_follows_inputs():
 @given(st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=30))
 def test_sum_all_matches_numpy(values):
     x = dc.Tensor(np.asarray(values, dtype=np.float64))
-    assert dc.sum_all(x).item() == np.asarray(values, dtype=np.float64).sum()
+    assert float(dc.sum_all(x).data) == np.asarray(values, dtype=np.float64).sum()
 
 
 @settings(max_examples=40, deadline=None)

@@ -399,6 +399,43 @@ def test_scene_loader_returns_scene_or_format_error(base, edits):
     assert np.all(np.isfinite(scene.body.keyframes)) and scene.pinned.dtype == np.int64
 
 
+# one character inserted or replaced; no digit goes in, so no count can grow
+_BYTE_CHARS = ["\udcff", "\udc80", "\udcc3", "\u00e9", "\u2028", "\n", "\x00", '"', ",", "]", "x"]
+_BYTE_EDIT = st.tuples(st.booleans(), st.integers(0, 10**4), st.sampled_from(_BYTE_CHARS))
+
+
+def _with_byte_edits(text: str, edits) -> bytes:
+    for replace, at, char in edits:
+        at %= len(text) + 1
+        text = text[:at] + char + text[at + replace:]
+    # lone surrogates become the raw bytes they stand for, so some files are not UTF-8
+    return text.encode("utf-8", "surrogateescape")
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(base=st.sampled_from(_SCENE_BASES), edits=st.lists(_BYTE_EDIT, min_size=1, max_size=4))
+def test_scene_file_loader_returns_scene_or_format_error(tmp_path, base, edits):
+    path = tmp_path / "scene.json"
+    path.write_bytes(_with_byte_edits(json.dumps(base, sort_keys=True, indent=2), edits))
+    try:
+        scene = pio.load_scene(path)
+    except (FormatError, IoError):
+        return
+    assert isinstance(scene, Scene)
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(doc=_TRAIN_DOCS, edits=st.lists(_BYTE_EDIT, min_size=1, max_size=4))
+def test_train_config_file_loader_returns_config_or_format_error(tmp_path, doc, edits):
+    path = tmp_path / "train.json"
+    path.write_bytes(_with_byte_edits(json.dumps(doc), edits))
+    try:
+        cfg = pio.load_train_config(path)
+    except (FormatError, IoError):
+        return
+    assert cfg.scenes and all(isinstance(p, str) for p in cfg.scenes)
+
+
 _CKPT_SCALAR = (st.none() | st.booleans() | st.integers(-2, 2**70) | st.floats(allow_nan=True, allow_infinity=True)
                 | st.text(max_size=3))
 _CKPT_VALUE = (

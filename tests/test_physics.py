@@ -30,7 +30,7 @@ def assert_zero_through_tape(energy, positions):
         tape = dc.Tape()
         with dc.recording(tape):
             e = energy(x)
-        assert e.dtype == dtype and e.shape == () and e.item() == 0.0
+        assert e.dtype == dtype and e.shape == () and float(e.data) == 0.0
         tape.backward(e)
         assert x.grad is not None and x.grad.dtype == dtype and not x.grad.any()
 
@@ -39,7 +39,7 @@ def test_stretch_zero_at_rest_exactly():
     grid = make_grid_cloth(4, 1.0, MAT)
     rest = physics.build_rest_geometry(grid)
     e = physics.stretch_energy(Tensor(grid.rest_positions.copy()), rest, MAT, grid.triangles)
-    assert e.item() == 0.0
+    assert float(e.data) == 0.0
 
 
 def test_stretch_uniform_double_scaling_closed_form():
@@ -47,7 +47,7 @@ def test_stretch_uniform_double_scaling_closed_form():
     rest = physics.build_rest_geometry(tri)
     # G = 1.5 I, |G|_F^2 = 4.5, tr G = 3; E = 0.5 * (1*4.5 + 0.5*9) = 4.5
     e = physics.stretch_energy(Tensor(2.0 * tri.rest_positions), rest, MAT, tri.triangles)
-    assert e.item() == pytest.approx(4.5, abs=1e-12)
+    assert float(e.data) == pytest.approx(4.5, abs=1e-12)
 
 
 def test_stretch_positive_and_rotation_invariant():
@@ -56,19 +56,19 @@ def test_stretch_positive_and_rotation_invariant():
     r = np.random.default_rng(0)
     deformed = grid.rest_positions + 0.02 * r.normal(size=grid.rest_positions.shape)
     e = physics.stretch_energy(Tensor(deformed.copy()), rest, MAT, grid.triangles)
-    assert e.item() > 0.0
+    assert float(e.data) > 0.0
     rot = np.linalg.qr(r.normal(size=(3, 3)))[0]
     if np.linalg.det(rot) < 0:
         rot[:, 0] = -rot[:, 0]
     e_rot = physics.stretch_energy(Tensor(deformed @ rot.T), rest, MAT, grid.triangles)
-    assert e_rot.item() == pytest.approx(e.item(), rel=1e-9)
+    assert float(e_rot.data) == pytest.approx(float(e.data), rel=1e-9)
 
 
 def test_bending_zero_for_flat_rest_exactly():
     grid = make_grid_cloth(4, 1.0, MAT)
     rest = physics.build_rest_geometry(grid)
     e = physics.bending_energy(Tensor(grid.rest_positions.copy()), rest, MAT)
-    assert e.item() == 0.0
+    assert float(e.data) == 0.0
     tri = unit_right_triangle()  # no interior edge, so no hinge
     tri_rest = physics.build_rest_geometry(tri)
     assert tri_rest.hinges.shape == (0, 4)
@@ -97,7 +97,7 @@ def test_bending_ninety_degree_fold():
     e = physics.bending_energy(Tensor(folded), rest, MAT)
     w = rest.hinge_weights[0]  # rest edge length 1 over summed areas 1
     assert w == pytest.approx(1.0, rel=1e-12)
-    assert e.item() == pytest.approx((np.pi / 2.0) ** 2, rel=1e-12)
+    assert float(e.data) == pytest.approx((np.pi / 2.0) ** 2, rel=1e-12)
 
 
 def test_bending_sign_symmetric_fold():
@@ -109,7 +109,7 @@ def test_bending_sign_symmetric_fold():
     down[3] = [1.0, -1.0, 0.0]
     e_up = physics.bending_energy(Tensor(up), rest, MAT)
     e_down = physics.bending_energy(Tensor(down), rest, MAT)
-    assert e_up.item() == pytest.approx(e_down.item(), rel=1e-12)
+    assert float(e_up.data) == pytest.approx(float(e_down.data), rel=1e-12)
 
 
 def test_collision_inactive_outside_margin():
@@ -117,7 +117,7 @@ def test_collision_inactive_outside_margin():
     body = np.array([[0.0, 0.0, 0.0]])
     normals = np.array([[0.0, 1.0, 0.0]])
     e = physics.collision_penalty(garment, body, normals, build_world_edges(garment.data, body, 0.2), margin=1e-3)
-    assert e.item() == 0.0
+    assert float(e.data) == 0.0
     far = body + np.array([[0.0, 1.0, 0.0]])  # outside the search radius: no pairs
     pairs = build_world_edges(garment.data, far, 0.2)
     assert pairs.shape == (0, 2)
@@ -129,8 +129,8 @@ def test_collision_single_pair_closed_form():
     body = np.array([[0.0, 0.0, 0.0]])
     normals = np.array([[0.0, 1.0, 0.0]])
     e = physics.collision_penalty(garment, body, normals, build_world_edges(garment.data, body, 0.2), margin=1e-3)
-    assert abs(e.item() - 8e-9) < 1e-22
-    assert e.item() == (2e-3) * (2e-3) * (2e-3)
+    assert abs(float(e.data) - 8e-9) < 1e-22
+    assert float(e.data) == (2e-3) * (2e-3) * (2e-3)
 
 
 def test_collision_monotone_with_depth():
@@ -140,7 +140,7 @@ def test_collision_monotone_with_depth():
     for depth in np.linspace(0.0, 0.05, 20):
         garment = Tensor(np.array([[0.0, -depth, 0.0]]))
         pairs = build_world_edges(garment.data, body, 0.2)
-        e = physics.collision_penalty(garment, body, normals, pairs, margin=2e-3).item()
+        e = float(physics.collision_penalty(garment, body, normals, pairs, margin=2e-3).data)
         assert e >= last
         last = e
 
@@ -153,7 +153,7 @@ def test_collision_matches_brute_force_nearest():
     normals /= np.linalg.norm(normals, axis=1, keepdims=True)
     radius, margin = 0.15, 0.02
     pairs = build_world_edges(garment, body, radius)
-    e = physics.collision_penalty(Tensor(garment.copy()), body, normals, pairs, margin).item()
+    e = float(physics.collision_penalty(Tensor(garment.copy()), body, normals, pairs, margin).data)
     expected = 0.0
     for i, xg in enumerate(garment):
         dists = np.linalg.norm(body - xg, axis=1)
@@ -166,18 +166,18 @@ def test_collision_matches_brute_force_nearest():
 
 def test_gravity_point_mass():
     e = physics.gravity_energy(Tensor(np.array([[0.0, 2.0, 0.0]])), np.array([1.0]), 9.81)
-    assert e.item() == pytest.approx(19.62, rel=1e-12)
+    assert float(e.data) == pytest.approx(19.62, rel=1e-12)
     zero = physics.gravity_energy(Tensor(np.zeros((5, 3))), np.ones(5), 9.81)
-    assert zero.item() == 0.0
+    assert float(zero.data) == 0.0
 
 
 def test_gravity_shift_linearity():
     r = np.random.default_rng(1)
     pos = r.normal(size=(12, 3))
     masses = r.uniform(0.1, 1.0, size=12)
-    base = physics.gravity_energy(Tensor(pos.copy()), masses, 9.81).item()
+    base = float(physics.gravity_energy(Tensor(pos.copy()), masses, 9.81).data)
     dy = 0.37
-    shifted = physics.gravity_energy(Tensor(pos + np.array([0, dy, 0])), masses, 9.81).item()
+    shifted = float(physics.gravity_energy(Tensor(pos + np.array([0, dy, 0])), masses, 9.81).data)
     assert shifted - base == pytest.approx(masses.sum() * 9.81 * dy, rel=1e-9)
 
 
@@ -215,7 +215,7 @@ def test_friction_zero_without_contacts():
     )
     pred = Tensor(far.garment_pos + 0.01)
     e = physics.friction_penalty(pred, far, _pairs(far, 0.1), np.array([[0.0, 1.0, 0.0]]), np.ones(1), 0.7)
-    assert e.item() == 0.0
+    assert float(e.data) == 0.0
     # a pair within the search radius but not touching: depth 0.05 >= margin
     above = dataclasses.replace(state, garment_pos=state.garment_pos + np.array([0.0, 0.05, 0.0]))
     pairs = _pairs(above, 0.1)
@@ -230,7 +230,7 @@ def test_friction_normal_motion_free():
     state = contact_state()
     pred = Tensor(state.garment_pos + np.array([[0.0, 0.003, 0.0]]))
     e = physics.friction_penalty(pred, state, _pairs(state, 0.1), np.array([[0.0, 1.0, 0.0]]), np.ones(1), 0.7)
-    assert e.item() == pytest.approx(0.0, abs=1e-18)
+    assert float(e.data) == pytest.approx(0.0, abs=1e-18)
 
 
 def test_friction_tangential_slide_closed_form():
@@ -241,7 +241,7 @@ def test_friction_tangential_slide_closed_form():
     mass = np.array([0.25])
     e = physics.friction_penalty(pred, state, _pairs(state, 0.1), np.array([[0.0, 1.0, 0.0]]), mass, 0.7)
     # tangential displacement v*dt against normal +y: mu * m * v^2
-    assert e.item() == pytest.approx(0.7 * 0.25 * v * v, rel=1e-12)
+    assert float(e.data) == pytest.approx(0.7 * 0.25 * v * v, rel=1e-12)
 
 
 def test_inertia_free_flight_is_zero():
@@ -257,7 +257,7 @@ def test_inertia_free_flight_is_zero():
     )
     target = state.garment_pos + state.time_step * vel
     e = physics.inertia_term(Tensor(target.copy()), state, np.ones(9))
-    assert e.item() == 0.0
+    assert float(e.data) == 0.0
 
 
 def test_inertia_single_deviation_closed_form():
@@ -265,7 +265,7 @@ def test_inertia_single_deviation_closed_form():
     delta = np.array([0.003, -0.001, 0.002])
     pred = Tensor(state.garment_pos + delta[None, :])
     e = physics.inertia_term(pred, state, np.ones(1))
-    assert e.item() == pytest.approx(float(delta @ delta) / (2 * 0.05**2), rel=1e-12)
+    assert float(e.data) == pytest.approx(float(delta @ delta) / (2 * 0.05**2), rel=1e-12)
 
 
 def test_all_energy_gradients_match_finite_differences():
@@ -299,8 +299,8 @@ def test_translation_invariance_of_non_gravity_terms():
         ),
         lambda p, st: physics.inertia_term(p, st, rest.vertex_masses),
     ):
-        base = build(Tensor(scene.pred.copy()), scene.state).item()
-        moved = build(Tensor(scene.pred + shift), state2).item()
+        base = float(build(Tensor(scene.pred.copy()), scene.state).data)
+        moved = float(build(Tensor(scene.pred + shift), state2).data)
         assert moved == pytest.approx(base, rel=1e-9, abs=1e-15)
 
 
@@ -327,7 +327,7 @@ def test_rotation_invariance_of_stretch_bending_inertia():
          physics.inertia_term(Tensor(scene.pred @ rot.T), rotated_state, rest.vertex_masses)),
     ]
     for base, rotated in pairs:
-        assert rotated.item() == pytest.approx(base.item(), rel=1e-9, abs=1e-14)
+        assert float(rotated.data) == pytest.approx(float(base.data), rel=1e-9, abs=1e-14)
 
 
 def rest_scene_at_origin():
@@ -351,7 +351,7 @@ def test_total_loss_all_zero_at_rest():
         Tensor(state.garment_pos.copy()), state, state, body_mesh,
         mesh, rest, physics.LossWeights(), gravity=9.81, contact_radius=0.05,
     )
-    assert total.item() == 0.0
+    assert float(total.data) == 0.0
     for value in breakdown.as_dict().values():
         assert value == 0.0
 
@@ -367,7 +367,7 @@ def test_total_equals_sum_of_reported_terms_exactly():
     for name in ("stretch", "bending", "collision", "gravity", "friction", "inertia"):
         acc += getattr(breakdown, name)
     assert breakdown.total == acc
-    assert total.item() == breakdown.total
+    assert float(total.data) == breakdown.total
 
 
 def test_total_loss_weighted_sum():
