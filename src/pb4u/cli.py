@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -33,6 +32,7 @@ from .errors import (
     InvalidState,
     NumericDivergence,
     UsageError,
+    check_writable,
     write_file,
 )
 from .graph import EDGE_FEATURE_DIM, VERTEX_FEATURE_DIM
@@ -122,29 +122,19 @@ def _int_at_least(least: int):
     return parse
 
 
-# each comparison is false for nan
-_META_RULES = (
-    ("gamma", "in [0, 1]", lambda v: 0.0 <= v <= 1.0),
-    ("k_base", "a whole number >= 1", lambda v: v >= 1 and float(v).is_integer()),
-    ("l_base", "finite and > 0", lambda v: 0.0 < v < math.inf),
-)
-
-
 def _load_model(ckpt_path):
     params, meta = pio.load_checkpoint(
         ckpt_path, expect_vertex_dim=VERTEX_FEATURE_DIM, expect_edge_dim=EDGE_FEATURE_DIM
     )
-    for key, rule, valid in _META_RULES:
+    for key in ("gamma", "k_base", "l_base"):
         if key not in meta:
             raise FormatError(f"{ckpt_path}: checkpoint is missing meta.{key}")
-        if not valid(meta[key]):
-            raise FormatError(f"{ckpt_path}: meta.{key} must be {rule}, got {meta[key]!r}")
-    config = net.NetworkConfig(
-        latent_dim=params.latent_dim,
-        gamma=meta["gamma"],
-        processor_depth=len(params.blocks),
-    )
-    ctrl = calibrate(int(meta["k_base"]), meta["l_base"])
+    try:
+        config = net.NetworkConfig(latent_dim=params.latent_dim, gamma=meta["gamma"],
+                                   processor_depth=len(params.blocks))
+        ctrl = calibrate(meta["k_base"], meta["l_base"])
+    except InvalidArgument as exc:   # each message starts with the key's name
+        raise FormatError(f"{ckpt_path}: meta.{exc}") from exc
     return params, config, ctrl
 
 
@@ -162,6 +152,7 @@ def _roll(args) -> tuple[SimContext, RolloutResult]:
 
 
 def _cmd_gen_scene(args) -> int:
+    check_writable(args.out, "scene")
     scene_dict = PRESETS[args.preset](args.grid, side=args.side, frames=args.frames, dt=args.dt)
     pio.scene_from_dict(scene_dict)  # round-trip validation before writing
     pio.save_scene(scene_dict, args.out)
@@ -170,13 +161,15 @@ def _cmd_gen_scene(args) -> int:
 
 
 def _cmd_train(args) -> int:
+    log_path = args.log if args.log else f"{args.out}.log.csv"
+    check_writable(args.out, "checkpoint")
+    check_writable(log_path, "loss CSV")
     config = pio.load_train_config(args.config)
     if args.seed is not None:
         config = dataclasses.replace(config, seed=args.seed)
     scenes = [pio.load_scene(p) for p in config.scenes]
     result = train(config, scenes, diagnostics_dir=Path(args.out).parent)
     pio.save_checkpoint(result.params, args.out, meta=result.checkpoint_meta())
-    log_path = args.log if args.log else f"{args.out}.log.csv"
     write_loss_csv(result.log_rows(), log_path, "iter", TRAIN_LOG_COLUMNS)
     first, last = result.log[0].total, result.log[-1].total
     print(f"trained {config.iterations} iterations: total {first:.6g} -> {last:.6g}")
@@ -185,6 +178,8 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_rollout(args) -> int:
+    check_writable(args.out_dir, "OBJ frames", folder=True)
+    check_writable(args.metrics, "loss CSV")
     ctx, result = _roll(args)
     write_rollout_outputs(result, ctx.scene, args.out_dir, args.metrics)
     print(f"rolled {len(result.states)}/{args.frames} frames at K={ctx.k_steps} into {args.out_dir}")
@@ -195,6 +190,7 @@ def _cmd_rollout(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    check_writable(args.report, "report")
     ctx, result = _roll(args)
     report = evaluation_report(ctx, result)
     write_file(args.report, json.dumps(report, indent=2, sort_keys=True) + "\n", "report")
@@ -218,6 +214,7 @@ def _parse_k_range(text: str) -> tuple[int, int]:
 
 def _cmd_sweep_k(args) -> int:
     lo, hi = _parse_k_range(args.k_range)
+    check_writable(args.out, "sweep-k CSV")
     params, config, ctrl = _load_model(args.ckpt)
 
     scene = pio.load_scene(args.scene)  # shared by the points: a rollout never mutates its scene
@@ -251,6 +248,7 @@ def _cmd_gradcheck(args) -> int:
 
 
 def _cmd_subdivide(args) -> int:
+    check_writable(args.out, "OBJ")
     mesh = load_obj_mesh(args.in_path)
     for _ in range(args.levels):
         mesh = subdivide_midpoint(mesh)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidArgument
+from .errors import InvalidArgument, real
 
 # floor((D/L) * GUARD) instead of floor(D/L): a half-ulp of division rounding
 # must not drop an exact mathematical integer to the one below
@@ -30,12 +30,14 @@ class ControlConfig:
         return float(self.k_base) * self.l_base
 
 
-def calibrate(k_base: int, l_base: float) -> ControlConfig:
-    if k_base < 1:
-        raise InvalidArgument(f"k_base must be >= 1, got {k_base}")
+def calibrate(k_base, l_base) -> ControlConfig:
+    """``k_base`` a whole number >= 1 (a checkpoint stores a float) and ``l_base`` finite and > 0."""
+    k, l_base = real(k_base, "k_base"), real(l_base, "l_base")
+    if not (k >= 1 and k.is_integer()):
+        raise InvalidArgument(f"k_base must be a whole number >= 1, got {k_base!r}")
     if l_base <= 0:
-        raise InvalidArgument(f"l_base must be positive, got {l_base}")
-    return ControlConfig(k_base=int(k_base), l_base=float(l_base))
+        raise InvalidArgument(f"l_base must be > 0, got {l_base!r}")
+    return ControlConfig(k_base=int(k_base), l_base=l_base)
 
 
 def propagation_steps(config: ControlConfig, mean_edge: float) -> int:

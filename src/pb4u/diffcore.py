@@ -51,10 +51,6 @@ class Tensor:
         self.tracked = bool(track)
 
     @property
-    def shape(self) -> tuple[int, ...]:
-        return self.data.shape
-
-    @property
     def dtype(self) -> np.dtype:
         return self.data.dtype
 

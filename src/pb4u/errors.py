@@ -1,10 +1,15 @@
-"""Exception taxonomy shared across the engine, and the one file boundary.
+"""Exception taxonomy, the one file boundary and the one number rule.
 
 The CLI maps these onto stable exit codes (see cli.py), so raise the most
 specific class available. Every file the engine reads or writes goes through
 ``read_file``, ``read_text`` or ``write_file``, which turn an ``OSError`` into
-``IoError`` naming the file.
+``IoError`` naming the file; ``check_writable`` tries an output path first.
+Every number read from a file is taken by ``real`` or ``count``.
 """
+
+import numbers
+import os
+import sys
 
 
 class Pb4uError(Exception):
@@ -73,3 +78,33 @@ def write_file(path, data, what: str) -> None:
             fh.writelines([data.encode("utf-8")] if isinstance(data, str) else data)
     except OSError as exc:
         raise IoError(f"cannot write {what} {path}: {exc}") from exc
+
+
+def check_writable(path, what: str, folder: bool = False) -> None:
+    """Raise now the ``IoError`` that writing ``what`` at ``path`` would raise
+    after the work that fills it, and create nothing: a file needs an existing
+    folder, and a ``folder`` is made with its parents."""
+    full = nearest = os.path.abspath(path)
+    while not os.path.exists(nearest):
+        nearest = os.path.dirname(nearest)
+    usable = (os.path.isdir(full) == folder if nearest == full   # it exists: as the right kind
+              else os.path.isdir(nearest) and (folder or nearest == os.path.dirname(full)))
+    if not (usable and os.access(nearest, os.W_OK)):
+        raise IoError(f"cannot write {what} {path}: not a writable {'folder' if folder else 'file in a folder'}")
+
+
+def real(value, what: str) -> float:
+    """``value`` as a float: a real number that is not a bool and is within
+    the float range, so not nan or inf, nor an integer past the range."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not abs(value) <= sys.float_info.max:
+        raise InvalidArgument(f"{what} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def count(value, what: str, least: int = 0) -> int:
+    """``value`` as an int: an integer that is not a bool, at least ``least``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise InvalidArgument(f"{what} must be an integer, got {value!r}")
+    if value < least:
+        raise InvalidArgument(f"{what} must be >= {least}, got {value}")
+    return int(value)

@@ -27,7 +27,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigMismatch, FormatError, InvalidArgument, InvalidMesh, IoError, read_file, read_text, write_file
+from .errors import (ConfigMismatch, FormatError, InvalidArgument, InvalidMesh, IoError, count, read_file, read_text,
+                     real, write_file)
 from .mesh import MaterialParams, load_obj_mesh, make_grid_cloth
 from .network import Mlp, ModelParams, assemble_params, mlp_widths
 from .diffcore import Tensor
@@ -111,15 +112,16 @@ def load_tensors(path) -> dict[str, np.ndarray]:
     spans = []
     out: dict[str, np.ndarray] = {}
     for name, entry in header.items():
-        if not isinstance(entry, dict) or set(entry) != {"dtype", "shape", "byte_offset"}:
+        if not isinstance(entry, dict) or set(entry) != {"dtype", "shape", "byte_offset"} or \
+                not isinstance(entry["shape"], list):
             raise FormatError(f"{path}: malformed header entry for {name!r}")
         if entry["dtype"] != "f32":
             raise FormatError(f"{path}: unsupported dtype {entry['dtype']!r} for {name!r}")
-        shape, start = entry["shape"], entry["byte_offset"]
-        if not isinstance(shape, list) or not all(_is_count(s) and s >= 0 for s in shape):
-            raise FormatError(f"{path}: shape of {name!r} must be a list of integers >= 0, got {shape!r}")
-        if not _is_count(start) or start < 0:
-            raise FormatError(f"{path}: byte_offset of {name!r} must be an integer >= 0, got {start!r}")
+        try:
+            shape = [count(s, f"each shape entry of {name!r}") for s in entry["shape"]]
+            start = count(entry["byte_offset"], f"byte_offset of {name!r}")
+        except InvalidArgument as exc:
+            raise FormatError(f"{path}: {exc}") from exc
         end = start + 4 * math.prod(shape)
         if end > len(payload):
             raise IoError(
@@ -203,29 +205,10 @@ def _require(condition: bool, message: str) -> None:
         raise FormatError(message)
 
 
-def _is_count(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
-def _count(value, what: str) -> int:
-    _require(_is_count(value), f"{what} must be an integer, got {value!r}")
-    return int(value)
-
-
-def _real(value, what: str) -> float:
-    """A finite JSON number (not a boolean) as a float."""
-    try:
-        number = float(value) if isinstance(value, numbers.Real) and not isinstance(value, bool) else math.nan
-    except OverflowError:  # an integer past the float range
-        number = math.inf
-    _require(math.isfinite(number), f"{what} must be a finite number, got {value!r}")
-    return number
-
-
 def _reals(values, what: str, length: int) -> list:
     _require(isinstance(values, (list, tuple)) and len(values) == length,
              f"{what} must be a list of {length} numbers, got {values!r}")
-    return [_real(v, what) for v in values]
+    return [real(v, what) for v in values]
 
 
 def _read_json(path, what: str):
@@ -250,13 +233,13 @@ def scene_from_dict(doc: dict, base_dir: Path | None = None) -> Scene:
     missing = _SCENE_KEYS - {"contact_margin"} - set(doc)
     _require(not missing, f"missing scene fields: {sorted(missing)}")
     _require(doc["format"] == "pb4u-scene", f"not a scene file (format={doc.get('format')!r})")
-    _require(_is_count(doc["version"]) and doc["version"] == 1, f"unsupported scene version {doc['version']!r}")
+    _require(repr(doc["version"]) == "1", f"unsupported scene version {doc['version']!r}")   # not 1.0 or true
 
     mat_doc = doc["material"]
     _require(isinstance(mat_doc, dict) and set(mat_doc) == _MATERIAL_KEYS,
              "material must define exactly the five parameters")
     try:
-        material = MaterialParams(**{k: _real(v, f"material {k}") for k, v in mat_doc.items()})
+        material = MaterialParams(**{k: real(v, f"material {k}") for k, v in mat_doc.items()})
     except InvalidArgument as exc:
         raise FormatError(f"bad material: {exc}") from exc
 
@@ -268,7 +251,7 @@ def scene_from_dict(doc: dict, base_dir: Path | None = None) -> Scene:
     if kind == "grid":
         _require("n" in g_doc and "side" in g_doc, "grid garment needs n and side")
         try:
-            n, side = _count(g_doc["n"], "garment n"), _real(g_doc["side"], "garment side")
+            n, side = count(g_doc["n"], "garment n"), real(g_doc["side"], "garment side")
             garment = make_grid_cloth(n, side, material)
         except (InvalidArgument, InvalidMesh) as exc:
             raise FormatError(f"bad garment grid: {exc}") from exc
@@ -293,23 +276,23 @@ def scene_from_dict(doc: dict, base_dir: Path | None = None) -> Scene:
     try:
         body = BodySpec(
             kind=b_doc["type"],
-            radius=_real(b_doc["radius"], "body radius"),
+            radius=real(b_doc["radius"], "body radius"),
             keyframes=np.array([_reals(row, "body keyframe", 4) for row in keyframes], dtype=np.float64),
-            lat=_count(b_doc.get("lat", DEFAULT_BODY_LAT), "body lat"),
-            lon=_count(b_doc.get("lon", DEFAULT_BODY_LON), "body lon"),
+            lat=count(b_doc.get("lat", DEFAULT_BODY_LAT), "body lat"),
+            lon=count(b_doc.get("lon", DEFAULT_BODY_LON), "body lon"),
         )
         scene = build_scene(
             garment,
             plane=g_doc.get("plane", "xz"),
             origin=_reals(g_doc.get("origin", (0.0, 0.0, 0.0)), "garment origin", 3),
-            pinned=[_count(i, "garment pinned index") for i in pinned],
+            pinned=[count(i, "garment pinned index") for i in pinned],
             body=body,
             material=material,
-            dt=_real(doc["dt"], "dt"),
-            gravity=_real(doc["gravity"], "gravity"),
-            world_radius=_real(doc["world_edge_radius"], "world_edge_radius"),
-            frames=_count(doc["frames"], "frames"),
-            contact_margin=_real(doc.get("contact_margin", DEFAULT_CONTACT_MARGIN), "contact_margin"),
+            dt=real(doc["dt"], "dt"),
+            gravity=real(doc["gravity"], "gravity"),
+            world_radius=real(doc["world_edge_radius"], "world_edge_radius"),
+            frames=count(doc["frames"], "frames"),
+            contact_margin=real(doc.get("contact_margin", DEFAULT_CONTACT_MARGIN), "contact_margin"),
         )
     except (InvalidArgument, InvalidMesh) as exc:
         raise FormatError(f"bad scene: {exc}") from exc

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import diffcore as dc
 from .diffcore import Tensor
-from .errors import InvalidArgument, NumericDivergence
+from .errors import InvalidArgument, NumericDivergence, real
 from .graph import EDGE_FEATURE_DIM, VERTEX_FEATURE_DIM, SimGraph, SimState, build_graph
 from .mesh import ScaleFactors, TriMesh
 
@@ -32,7 +32,7 @@ class NetworkConfig:
     processor_depth: int = 3    # residual refinement blocks after the update
 
     def __post_init__(self):
-        if not 0.0 <= self.gamma <= 1.0:
+        if not 0.0 <= real(self.gamma, "gamma") <= 1.0:
             raise InvalidArgument(f"gamma must be in [0, 1], got {self.gamma}")
         if self.k_steps < 0:
             raise InvalidArgument(f"k_steps must be >= 0, got {self.k_steps}")

@@ -13,15 +13,13 @@ reported terms.
 
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import diffcore as dc
 from .diffcore import Tensor
-from .errors import InvalidArgument, InvalidMesh, NumericDivergence
+from .errors import InvalidArgument, InvalidMesh, NumericDivergence, real
 from .graph import SimState, build_world_edges  # noqa: F401  (unused; perfbench's tracer test wants the binding)
 from .mesh import TriMesh
 
@@ -42,10 +40,8 @@ class LossWeights:
 
     def __post_init__(self):
         for name in LOSS_TERMS:
-            value = getattr(self, name)
-            finite = not isinstance(value, bool) and isinstance(value, numbers.Real) and math.isfinite(value)
-            if not finite or value < 0:
-                raise InvalidArgument(f"loss weight {name} must be a finite number >= 0, got {value!r}")
+            if real(getattr(self, name), f"loss weight {name}") < 0:
+                raise InvalidArgument(f"loss weight {name} must be >= 0, got {getattr(self, name)!r}")
 
 
 @dataclass(frozen=True)

@@ -9,13 +9,12 @@ experience buffer that training samples from.
 
 from __future__ import annotations
 
-import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .diffcore import Tensor, add, mul
-from .errors import InvalidArgument, InvalidState
+from .errors import InvalidArgument, InvalidState, real
 from .graph import SimState
 from .mesh import DEFAULT_MATERIAL, MaterialParams, TriMesh, make_grid_cloth, mean_edge_length, quad_triangles
 from .physics import DEFAULT_CONTACT_MARGIN
@@ -118,8 +117,6 @@ class Scene:
             raise InvalidArgument(f"world_edge_radius must be positive, got {self.world_radius}")
         if not self.contact_margin >= 0:
             raise InvalidArgument(f"contact_margin must be >= 0, got {self.contact_margin}")
-        if self.pinned.size and (self.pinned.min() < 0 or self.pinned.max() >= self.garment.vertex_count):
-            raise InvalidArgument("pinned index out of range")
 
     def body_positions(self, frame: int) -> np.ndarray:
         return self.body_mesh.rest_positions + self.body.center_at(frame * self.dt)
@@ -205,6 +202,8 @@ def build_scene(
     contact_margin: float,
 ) -> Scene:
     initial = _grid_placement(garment.rest_positions, plane, origin)
+    if not all(0 <= int(i) < garment.vertex_count for i in pinned):   # before they become int64
+        raise InvalidArgument("pinned index out of range")
     return Scene(
         garment=garment,
         initial_positions=initial,
@@ -229,8 +228,8 @@ def _grid_preset(grid_n: int, side: float, frames: int, dt: float, garment: dict
     if frames < 1:
         raise InvalidArgument(f"frames must be >= 1, got {frames}")
     for name, value in (("dt", dt), ("side", side)):
-        if not (math.isfinite(value) and value > 0):
-            raise InvalidArgument(f"{name} must be a finite positive number, got {value}")
+        if real(value, name) <= 0:
+            raise InvalidArgument(f"{name} must be > 0, got {value}")
     probe = make_grid_cloth(grid_n, side, DEFAULT_MATERIAL)
     duration = frames * dt
     return {

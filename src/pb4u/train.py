@@ -11,8 +11,6 @@ ever subdivides a mesh.
 from __future__ import annotations
 
 import json
-import math
-import numbers
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -21,7 +19,7 @@ import numpy as np
 from . import diffcore as dc
 from . import network as net
 from .control import ControlConfig, calibrate
-from .errors import InvalidArgument, NumericDivergence, write_file
+from .errors import InvalidArgument, NumericDivergence, count, real, write_file
 from .graph import SimState
 from .mesh import mean_edge_length, write_obj
 from .physics import LOSS_TERMS, LossBreakdown, LossWeights
@@ -36,7 +34,6 @@ _COUNT_MINIMUMS = {
     "iterations": 1, "seed": 0, "k_base": 1, "processor_depth": 0, "latent_dim": 1,
     "buffer_refresh": 1, "rollout_steps": 1,
 }
-_REAL_FIELDS = ("learning_rate", "beta1", "beta2", "epsilon", "gamma", "grad_clip")
 
 
 @dataclass
@@ -59,25 +56,18 @@ class TrainConfig:
 
     def __post_init__(self):
         for name, least in _COUNT_MINIMUMS.items():
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise InvalidArgument(f"{name} must be an integer, got {value!r}")
-            if value < least:
-                raise InvalidArgument(f"{name} must be >= {least}, got {value}")
-        for name in _REAL_FIELDS:
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
-                raise InvalidArgument(f"{name} must be a finite number, got {value!r}")
-        if self.learning_rate < 0:
+            count(getattr(self, name), name, least)
+        if real(self.learning_rate, "learning_rate") < 0:
             raise InvalidArgument("learning rate must be nonnegative")
         for name in ("beta1", "beta2"):
-            if not 0 <= getattr(self, name) < 1:
+            if not 0 <= real(getattr(self, name), name) < 1:
                 raise InvalidArgument(f"{name} must be in [0, 1), got {getattr(self, name)}")
-        if self.epsilon <= 0:
+        if real(self.epsilon, "epsilon") <= 0:
             raise InvalidArgument(f"epsilon must be positive, got {self.epsilon}")
-        if self.grad_clip < 0:
+        if real(self.grad_clip, "grad_clip") < 0:
             raise InvalidArgument(f"grad_clip must be >= 0 (0 disables clipping), got {self.grad_clip}")
-        self.network_config()  # gamma in [0, 1]
+        self.network_config()  # a finite gamma in [0, 1]
+        calibrate(self.k_base, 1.0)  # k_base within the float range
 
     def network_config(self) -> net.NetworkConfig:
         return net.NetworkConfig(

@@ -66,10 +66,15 @@ def test_train_missing_config_is_io_error(tmp_path):
     assert main(["train", "--config", str(tmp_path / "absent.json"), "--out", str(tmp_path / "m.ckpt")]) == 2
 
 
+HUGE = 10**400   # an integer past the float range: not a finite number
+
+
 @pytest.mark.parametrize("field, value", [
     ("iterations", 2.5), ("latent_dim", 8.5), ("processor_depth", 1.5), ("rollout_steps", 1.5),
     ("seed", 1.5), ("weights", {"stretch": "a"}), ("beta1", 1.0), ("epsilon", 0.0),
     ("buffer_refresh", 2.5), ("k_base", 8.5), ("iterations", True), ("grad_clip", -1),
+    *(pytest.param(field, HUGE, id=f"{field}-10**400") for field in ("learning_rate", "gamma", "grad_clip", "k_base")),
+    pytest.param("weights", {"stretch": HUGE}, id="weights.stretch-10**400"),
 ])
 def test_train_bad_config_value_is_format_error(tmp_path, capsys, field, value):
     cfg = tmp_path / "train.json"
@@ -85,6 +90,7 @@ def test_train_bad_config_value_is_format_error(tmp_path, capsys, field, value):
     (("garment", "n"), "x"), (("garment", "origin"), "ab"), (("garment", "pinned"), [1.5]),
     (("body", "keyframes"), "abc"), (("body", "lat"), 12.7), (("material", "lame_mu"), "x"),
     (("world_edge_radius",), -1.0), (("dt",), 0.0), (("contact_margin",), -1.0),
+    pytest.param(("garment", "pinned"), [HUGE], id="garment.pinned-[10**400]"),   # past int64
 ], ids=lambda v: ".".join(v) if isinstance(v, tuple) else json.dumps(v))
 def test_train_bad_scene_value_is_format_error(tmp_path, capsys, path, value):
     doc = drape_sphere_preset(4, frames=4)
@@ -434,9 +440,11 @@ def _unwritable_or_undecodable(case, workdir, tmp_path):
 ])
 def test_unwritable_output_or_undecodable_input_is_io_error(workdir, tmp_path, capsys, case):
     argv, named = _unwritable_or_undecodable(case, workdir, tmp_path)
+    before = sorted(tmp_path.rglob("*"))
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and str(named) in err
+    assert sorted(tmp_path.rglob("*")) == before   # the bad path is found before the work writes anything
 
 
 @pytest.mark.parametrize("field, value", [("shape", ["a"]), ("shape", 5), ("shape", [2, -2]), ("byte_offset", "x")],

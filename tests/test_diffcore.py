@@ -287,7 +287,7 @@ def test_lookup_affine_matches_gather_concat_affine_nodes_bitwise(layout, dtype,
                        for n in (n_g, n_total - n_g, n_edges)]
             w = dc.Tensor(r.normal(size=(3 * width, width)).astype(dtype), track=True)
             b = dc.Tensor(r.normal(size=width).astype(dtype), track=True)
-            weights = [dc.Tensor(r.normal(size=t.shape).astype(dtype)) for t in sources]
+            weights = [dc.Tensor(r.normal(size=t.data.shape).astype(dtype)) for t in sources]
             c_hidden = dc.Tensor(r.normal(size=(n_edges, width)).astype(dtype))
             tape = dc.Tape()
             with dc.recording(tape):
@@ -307,6 +307,108 @@ def test_lookup_affine_matches_gather_concat_affine_nodes_bitwise(layout, dtype,
     assert fused_data.dtype == dtype and fused_data.tobytes() == oracle_data.tobytes()
     for got, expected in zip(fused_grads, oracle_grads):
         assert got is not None and got.dtype == dtype and got.tobytes() == expected.tobytes()
+
+
+# row counts that make one block, two, and two or three with a remainder;
+# widths on each side of the split threshold and of the wide-row sums
+_ROWS = st.sampled_from([2 * dc.ROW_BLOCK, 3 * dc.ROW_BLOCK + 7, 2 * dc.ROW_BLOCK + 1, 2 * dc.ROW_BLOCK - 1, 1023, 5])
+_SPLIT_WIDTHS = st.sampled_from([dc.SPLIT_WIDTH, dc.SPLIT_WIDTH + 5, dc.SPLIT_WIDTH - 1])
+_POOL_SIZES = st.sampled_from([2, 1])
+
+
+def _splits(rows, w_shape, size):
+    """Helpers ``_matmul`` asks the pool for: none unless both widths reach
+    SPLIT_WIDTH and the rows make two blocks or more."""
+    blocks = rows // dc.ROW_BLOCK
+    return min(size, blocks) - 1 if min(w_shape) >= dc.SPLIT_WIDTH and blocks >= 2 else 0
+
+
+@settings(max_examples=100, deadline=None)
+@given(rows=_ROWS, k=_SPLIT_WIDTHS, m=_SPLIT_WIDTHS, transposed=st.booleans(), bias=st.booleans(),
+       dtype=st.sampled_from([np.float32, np.float64]), size=_POOL_SIZES, seed=st.integers(0, 2**16))
+def test_matmul_row_blocks_match_one_product_bitwise(rows, k, m, transposed, bias, dtype, size, seed):
+    r = rng(seed)
+    x = r.standard_normal((rows, k)).astype(dtype)
+    w = r.standard_normal((m, k)).astype(dtype).T if transposed else r.standard_normal((k, m)).astype(dtype)
+    b = r.standard_normal(m).astype(dtype)
+    want = x @ w
+    if bias:
+        want += b
+
+    def add_bias(block):
+        block += b
+
+    with worker_pool_of(size) as pool:
+        got = dc._matmul(x, w, add_bias if bias else None)
+        assert len(pool.submitted) == _splits(rows, w.shape, size)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+@st.composite
+def _lookup_layouts(draw):
+    """Sources of one width, and 1-3 parts over them: a part reads one
+    edge-row source as it is, or looks rows up in 1-2 stacked vertex sources
+    (a source may recur); each source and w are tracked or not."""
+    n = draw(_ROWS)
+    width = draw(st.sampled_from([dc.SPLIT_WIDTH, dc.SPLIT_WIDTH // 2 + 1, dc.WIDE_ROWS, 8]))
+    vertex_rows = draw(st.lists(st.integers(1, 40), min_size=1, max_size=3))
+    parts = []
+    for _ in range(draw(st.integers(1, 3))):
+        if draw(st.booleans()):
+            parts.append(("edge", None))
+        else:
+            picks = draw(st.lists(st.integers(0, len(vertex_rows) - 1), min_size=1, max_size=2))
+            parts.append((picks, draw(st.integers(0, 2**16))))
+    tracked = draw(st.lists(st.booleans(), min_size=len(vertex_rows) + 2, max_size=len(vertex_rows) + 2))
+    return n, width, vertex_rows, parts, tracked
+
+
+def _lookup_affine_run(layout, dtype, out_width, relu, fused, seed):
+    """Data and the gradients of every source, w and b of one layout, fused
+    or as the oracle's nodes, and whether a source of the op is tracked."""
+    n, width, vertex_rows, parts, tracked = layout
+    r = rng(seed)
+    vertex = [dc.Tensor(r.normal(size=(rows, width)).astype(dtype), track=t) for rows, t in zip(vertex_rows, tracked)]
+    edge = dc.Tensor(r.normal(size=(n, width)).astype(dtype), track=tracked[-2])
+    w = dc.Tensor(r.normal(size=(len(parts) * width, out_width)).astype(dtype), track=tracked[-1])
+    b = dc.Tensor(r.normal(size=out_width).astype(dtype), track=True)
+    sources = vertex + [edge]
+    c_hidden = dc.Tensor(r.normal(size=(n, out_width)).astype(dtype))
+    c_sources = [dc.Tensor(r.normal(size=t.data.shape).astype(dtype)) for t in sources]
+    built = []
+    for picks, index_seed in parts:
+        if picks == "edge":
+            built.append(([edge], None))
+        else:
+            srcs = [vertex[i] for i in picks]
+            built.append((srcs, rng(index_seed).integers(0, sum(t.data.shape[0] for t in srcs), size=n)))
+    tape = dc.Tape()
+    with dc.recording(tape):
+        hidden = (dc.lookup_affine(built, w, b, relu=relu) if fused
+                  else dc.affine(_gather_concat_nodes(built), w, b, relu=relu))
+        total = dc.sum_all(dc.mul(hidden, c_hidden))
+        for t, c in zip(sources, c_sources):   # read again after the op, as in the network
+            total = dc.add(total, dc.sum_all(dc.mul(t, c)))
+    tape.backward(total)
+    return hidden.data, [t.grad for t in sources + [w, b]], any(t.tracked for srcs, _ in built for t in srcs)
+
+
+@settings(max_examples=80, deadline=None)
+@given(layout=_lookup_layouts(), out_width=_SPLIT_WIDTHS, relu=st.booleans(),
+       dtype=st.sampled_from([np.float32, np.float64]), size=_POOL_SIZES, seed=st.integers(0, 2**16))
+def test_lookup_affine_matches_nodes_bitwise_over_random_layouts(layout, out_width, relu, dtype, size, seed):
+    n, width, _, parts, _ = layout
+    with worker_pool_of(size) as pool:
+        fused_data, fused_grads, pulls_x = _lookup_affine_run(layout, dtype, out_width, relu, True, seed)
+        # x @ w splits, and so does g @ w.T when a source of the op is tracked
+        splits = _splits(n, (len(parts) * width, out_width), size) * (1 + pulls_x)
+        assert len(pool.submitted) == splits
+        oracle_data, oracle_grads, _ = _lookup_affine_run(layout, dtype, out_width, relu, False, seed)
+        assert len(pool.submitted) == 2 * splits
+    assert fused_data.dtype == dtype and fused_data.tobytes() == oracle_data.tobytes()
+    for got, want in zip(fused_grads, oracle_grads):
+        assert (got is None) == (want is None)
+        assert got is None or (got.dtype == dtype and got.tobytes() == want.tobytes())
 
 
 def test_lookup_affine_rejects_bad_parts():

@@ -7,7 +7,7 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from pb4u import io as pio
@@ -293,7 +293,8 @@ def test_train_config_validation(tmp_path):
 _COUNT_MINIMUMS = {"iterations": 1, "seed": 0, "k_base": 1, "processor_depth": 0, "latent_dim": 1,
                    "buffer_refresh": 1, "rollout_steps": 1}
 _LOSS_NAMES = ("stretch", "bending", "collision", "gravity", "friction", "inertia")
-_SCALAR = (st.none() | st.booleans() | st.integers(-3, 10**4) | st.floats(-2.0, 2.0)
+# integers past the float range are no finite number, though float() of one raises instead of giving inf
+_SCALAR = (st.none() | st.booleans() | st.integers(-3, 10**4) | st.integers(2**1024, 10**400) | st.floats(-2.0, 2.0)
            | st.floats(allow_nan=True, allow_infinity=True) | st.text(max_size=3))
 _FIELD = st.integers(0, 64) | st.floats(0.0, 1.0, exclude_max=True) | _SCALAR   # often valid, often not
 _JSON = st.recursive(
@@ -318,6 +319,8 @@ def _finite(value):
 
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(doc=_TRAIN_DOCS)
+@example(doc={"scenes": ["s.json"], "gamma": 10**400})   # past the float range, drawn in only some runs
+@example(doc={"scenes": ["s.json"], "weights": {"stretch": 10**400}})
 def test_train_config_loader_returns_valid_config_or_format_error(tmp_path, doc):
     path = tmp_path / "train.json"
     path.write_text(json.dumps(doc))
@@ -486,7 +489,7 @@ def test_checkpoint_loader_returns_or_raises_format_or_io_error(tmp_path, checkp
     graph = _tiny_graph(params.vertex_encoder.in_dim, params.edge_encoder.in_dim)
     with np.errstate(all="ignore"):  # a moved byte offset can read any float
         accel = net.forward_accelerations(graph, ScaleFactors(np.ones(3)), params, net.NetworkConfig(), 2)
-    assert accel.shape == (3, 3)
+    assert accel.data.shape == (3, 3)
 
 
 def _layout_shapes(d: int, depth: int, vertex_dim: int, edge_dim: int) -> dict:

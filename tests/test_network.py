@@ -42,8 +42,8 @@ def test_encode_shapes_and_h_initialization():
     graph = path_graph()
     params = make_params()
     latent = net.encode(graph, params)
-    assert latent.V.shape == (6, CFG.latent_dim)
-    assert latent.E.shape == (10, CFG.latent_dim)
+    assert latent.V.data.shape == (6, CFG.latent_dim)
+    assert latent.E.data.shape == (10, CFG.latent_dim)
     # the aggregate starts as V's garment rows
     assert np.array_equal(net.propagate(latent, 0, CFG.gamma, params).data, latent.V.data[:latent.garment_count])
 
@@ -150,7 +150,7 @@ def test_update_constant_map_with_zero_weights():
     latent = net.encode(graph, params)
     h_k = net.propagate(latent, 2, 0.9, params)
     v_prime = net.update(latent, h_k, params)
-    assert v_prime.shape == latent.V.shape
+    assert v_prime.data.shape == latent.V.data.shape
     assert np.all(v_prime.data == 0.25)
 
 

@@ -30,7 +30,7 @@ def assert_zero_through_tape(energy, positions):
         tape = dc.Tape()
         with dc.recording(tape):
             e = energy(x)
-        assert e.dtype == dtype and e.shape == () and float(e.data) == 0.0
+        assert e.dtype == dtype and e.data.shape == () and float(e.data) == 0.0
         tape.backward(e)
         assert x.grad is not None and x.grad.dtype == dtype and not x.grad.any()
 
