@@ -113,8 +113,8 @@ def _acc(t: Tensor, g: np.ndarray) -> None:
     """Accumulate a gradient into a tracked tensor. Ownership of ``g``
     transfers: the first write keeps the array itself, so a pull must hand
     over memory that nothing else holds or will write to. An untracked
-    tensor takes nothing; pulls check ``tracked`` first where computing its
-    gradient would cost a product or a copy."""
+    tensor takes nothing, and this is the one place that drops a gradient:
+    every pull computes one for each of its parents."""
     if not t.tracked:
         return
     if t.grad is None:
@@ -141,8 +141,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
     def pull(g):
         _acc(a, _reduce_to(g, a.data.shape))
-        if b.tracked:   # a may own g now; b gets its own array
-            _acc(b, _reduce_to(g, b.data.shape).copy())
+        _acc(b, _reduce_to(g, b.data.shape).copy())   # a may own g now; b gets its own array
 
     return _record(out, (a, b), pull)
 
@@ -163,10 +162,8 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     out = Tensor(a.data * b.data)
 
     def pull(g):
-        if a.tracked:
-            _acc(a, _reduce_to(g * b.data, a.data.shape))
-        if b.tracked:
-            _acc(b, _reduce_to(g * a.data, b.data.shape))
+        _acc(a, _reduce_to(g * b.data, a.data.shape))
+        _acc(b, _reduce_to(g * a.data, b.data.shape))
 
     return _record(out, (a, b), pull)
 
@@ -276,8 +273,7 @@ def affine(x: Tensor, w: Tensor, b: Tensor, relu: bool = False) -> Tensor:
     def pull(g):
         if relu:
             g = g * (out.data > 0)
-        if x.tracked:   # not for an encoder's feature input
-            _acc(x, _matmul(g, w.data.T))
+        _acc(x, _matmul(g, w.data.T))
         _acc(w, x.data.T @ g)
         _acc(b, g.sum(axis=0))
 
@@ -446,11 +442,8 @@ def lookup_affine(parts: Sequence[tuple[Sequence[Tensor], np.ndarray | None]], w
     def pull(g):
         if relu:
             g = g * (out.data > 0)
-        if w.tracked:   # the matrix lives only for this product
-            _acc(w, edge_inputs().T @ g)
+        _acc(w, edge_inputs().T @ g)   # the matrix lives only for this product
         _acc(b, g.sum(axis=0))
-        if not any(s.tracked for s in sources):
-            return
         gx = _matmul(g, w.data.T)
         for j in reversed(range(len(plans))):
             srcs, index = plans[j]

@@ -101,10 +101,13 @@ def real(value, what: str) -> float:
     return float(value)
 
 
-def count(value, what: str, least: int = 0) -> int:
-    """``value`` as an int: an integer that is not a bool, at least ``least``."""
+def count(value, what: str, least: int = 0, most: int | None = None) -> int:
+    """``value`` as an int: an integer that is not a bool, at least ``least``
+    and, if ``most`` is given, at most ``most``."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise InvalidArgument(f"{what} must be an integer, got {value!r}")
     if value < least:
         raise InvalidArgument(f"{what} must be >= {least}, got {value}")
+    if most is not None and value > most:
+        raise InvalidArgument(f"{what} must be <= {most}, got {value}")
     return int(value)

@@ -223,7 +223,11 @@ def save_scene(scene_dict: dict, path) -> None:
 
 
 def load_scene(path) -> Scene:
-    return scene_from_dict(_read_json(path, "scene"), base_dir=Path(path).parent)
+    doc = _read_json(path, "scene")
+    try:
+        return scene_from_dict(doc, base_dir=Path(path).parent)
+    except FormatError as exc:
+        raise FormatError(f"{path}: {exc}") from exc
 
 
 def scene_from_dict(doc: dict, base_dir: Path | None = None) -> Scene:

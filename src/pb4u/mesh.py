@@ -158,8 +158,6 @@ def subdivide_midpoint(mesh: TriMesh) -> TriMesh:
 
 
 def mean_edge_length(mesh: TriMesh) -> float:
-    if mesh.edges.shape[0] == 0:
-        raise InvalidArgument("mesh has no edges")
     return float(np.mean(mesh.rest_edge_lengths))
 
 

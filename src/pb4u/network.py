@@ -27,7 +27,7 @@ class NetworkConfig:
     latent_dim: int = 128
     gamma: float = 0.9          # decay of earlier aggregated messages
     # nothing reads k_steps (K comes from ControlConfig); deleting it waits on
-    # a change that may edit perfbench/, which sets it (ROADMAP item 5)
+    # a change that may edit perfbench/, which sets it (ROADMAP item 3)
     k_steps: int = 8
     processor_depth: int = 3    # residual refinement blocks after the update
 

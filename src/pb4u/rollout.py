@@ -132,20 +132,15 @@ def run_rollout(
         began = time.perf_counter()
         try:
             next_state, _ = advance(ctx, state, start_frame + f, params)
+            latency = 1000.0 * (time.perf_counter() - began)
+            if keep is not None and not keep(next_state, start_frame + f + 1):
+                break
+            if compute_losses:
+                _, breakdown = frame_loss(ctx, Tensor(next_state.garment_pos.copy()), state, next_state)
+                result.losses.append(breakdown)
         except NumericDivergence:
             result.diverged = True
             break
-        latency = 1000.0 * (time.perf_counter() - began)
-        if keep is not None and not keep(next_state, start_frame + f + 1):
-            break
-        if compute_losses:
-            try:
-                pred64 = Tensor(next_state.garment_pos.copy())
-                _, breakdown = frame_loss(ctx, pred64, state, next_state)
-                result.losses.append(breakdown)
-            except NumericDivergence:
-                result.diverged = True
-                break
         result.latencies_ms.append(latency)
         result.states.append(next_state)
         state = next_state
@@ -157,8 +152,7 @@ def write_rollout_outputs(result: RolloutResult, scene: Scene, out_dir, metrics_
     out.mkdir(parents=True, exist_ok=True)
     for f, state in enumerate(result.states):
         write_obj(out / f"frame_{f:04d}.obj", state.garment_pos, scene.garment.triangles)
-    if metrics_path is not None:
-        write_loss_csv([row.as_dict() for row in result.losses], metrics_path, "frame", METRIC_COLUMNS)
+    write_loss_csv([row.as_dict() for row in result.losses], metrics_path, "frame", METRIC_COLUMNS)
 
 
 def write_loss_csv(rows: list, path, index: str, columns: tuple) -> None:

@@ -29,10 +29,11 @@ from .scenes import BufferedFrame, Scene, sample_frame
 # the loss columns, then each iteration's IterationStats
 TRAIN_LOG_COLUMNS = LOSS_TERMS + ("total", "grad_norm", "buffer_len", "k_steps")
 
-# the least value of each count field of TrainConfig
-_COUNT_MINIMUMS = {
-    "iterations": 1, "seed": 0, "k_base": 1, "processor_depth": 0, "latent_dim": 1,
-    "buffer_refresh": 1, "rollout_steps": 1,
+# the least and the greatest value of each count field of TrainConfig; the
+# model-size bounds keep init_params within about 167 million parameters
+_COUNT_RANGES = {
+    "iterations": (1, None), "seed": (0, None), "k_base": (1, None), "processor_depth": (0, 16),
+    "latent_dim": (1, 1024), "buffer_refresh": (1, None), "rollout_steps": (1, None),
 }
 
 
@@ -55,8 +56,8 @@ class TrainConfig:
     rollout_steps: int = 1
 
     def __post_init__(self):
-        for name, least in _COUNT_MINIMUMS.items():
-            count(getattr(self, name), name, least)
+        for name, (least, most) in _COUNT_RANGES.items():
+            count(getattr(self, name), name, least, most)
         if real(self.learning_rate, "learning_rate") < 0:
             raise InvalidArgument("learning rate must be nonnegative")
         for name in ("beta1", "beta2"):

@@ -108,6 +108,33 @@ def test_train_bad_scene_value_is_format_error(tmp_path, capsys, path, value):
     assert not (tmp_path / "m.ckpt").exists()
 
 
+def test_train_names_the_bad_scene_file(tmp_path, capsys):
+    good, bad = drape_sphere_preset(4, frames=4), drape_sphere_preset(4, frames=4)
+    bad["garment"]["pinned"] = [HUGE]
+    (tmp_path / "good.json").write_text(json.dumps(good))
+    (tmp_path / "bad.json").write_text(json.dumps(bad))
+    cfg = tmp_path / "train.json"
+    cfg.write_text(json.dumps({"scenes": ["good.json", "bad.json"], "iterations": 1}))
+    assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "m.ckpt")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(tmp_path / "bad.json") in err and "good.json" not in err
+
+
+@pytest.mark.parametrize("field, value", [
+    ("latent_dim", HUGE), ("latent_dim", 2**40), ("latent_dim", 1025),
+    ("processor_depth", HUGE), ("processor_depth", 17),
+], ids=["latent_dim-10**400", "latent_dim-2**40", "latent_dim-1025", "processor_depth-10**400",
+        "processor_depth-17"])
+def test_train_model_too_large_to_build_is_format_error(tmp_path, capsys, field, value):
+    cfg = tmp_path / "train.json"
+    cfg.write_text(json.dumps({"scenes": ["scene.json"], "iterations": 1, field: value}))
+    assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "m.ckpt")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"{field} must be <= " in err and err.count("\n") == 1
+    assert not (tmp_path / "m.ckpt").exists()
+
+
 def test_train_log_has_one_row_per_iteration(workdir):
     log = (workdir / "model.ckpt.log.csv").read_text().strip().splitlines()
     assert log[0] == "iter,stretch,bending,collision,gravity,friction,inertia,total,grad_norm,buffer_len,k_steps"

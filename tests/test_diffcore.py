@@ -187,6 +187,24 @@ def test_every_primitive_matches_finite_differences(name):
     assert dc.grad_check(fn, inputs, h=1e-6) <= 1e-7
 
 
+@pytest.mark.parametrize("name", ["add", "sub", "mul", "div", "atan2", "dot", "cross3", "scale_rows", "concat",
+                                  "affine"])
+def test_an_untracked_operand_takes_no_gradient_and_changes_no_other(name):
+    """Every pull computes a gradient for each parent and ``_acc`` drops the
+    untracked one's, so the tracked operands get the bytes of the run where
+    all are tracked."""
+    fn, inputs = _random_inputs(name, rng(hash(name) % 2**32))
+    run_backward(fn, *inputs)
+    for skipped in range(len(inputs)):
+        operands = [dc.Tensor(t.data.copy(), track=i != skipped) for i, t in enumerate(inputs)]
+        run_backward(fn, *operands)
+        for i, (got, want) in enumerate(zip(operands, inputs)):
+            if i == skipped:
+                assert got.grad is None
+            else:
+                assert got.grad.dtype == want.grad.dtype and got.grad.tobytes() == want.grad.tobytes()
+
+
 def test_scatter_add_matches_loop_oracle_exactly():
     r = rng(7)
     for shape in [(20, 3), (20,), (0, 3), (0,)]:  # 2-D, 1-D and zero-row values
@@ -365,7 +383,7 @@ def _lookup_layouts(draw):
 
 def _lookup_affine_run(layout, dtype, out_width, relu, fused, seed):
     """Data and the gradients of every source, w and b of one layout, fused
-    or as the oracle's nodes, and whether a source of the op is tracked."""
+    or as the oracle's nodes."""
     n, width, vertex_rows, parts, tracked = layout
     r = rng(seed)
     vertex = [dc.Tensor(r.normal(size=(rows, width)).astype(dtype), track=t) for rows, t in zip(vertex_rows, tracked)]
@@ -390,7 +408,7 @@ def _lookup_affine_run(layout, dtype, out_width, relu, fused, seed):
         for t, c in zip(sources, c_sources):   # read again after the op, as in the network
             total = dc.add(total, dc.sum_all(dc.mul(t, c)))
     tape.backward(total)
-    return hidden.data, [t.grad for t in sources + [w, b]], any(t.tracked for srcs, _ in built for t in srcs)
+    return hidden.data, [t.grad for t in sources + [w, b]]
 
 
 @settings(max_examples=80, deadline=None)
@@ -399,11 +417,11 @@ def _lookup_affine_run(layout, dtype, out_width, relu, fused, seed):
 def test_lookup_affine_matches_nodes_bitwise_over_random_layouts(layout, out_width, relu, dtype, size, seed):
     n, width, _, parts, _ = layout
     with worker_pool_of(size) as pool:
-        fused_data, fused_grads, pulls_x = _lookup_affine_run(layout, dtype, out_width, relu, True, seed)
-        # x @ w splits, and so does g @ w.T when a source of the op is tracked
-        splits = _splits(n, (len(parts) * width, out_width), size) * (1 + pulls_x)
+        fused_data, fused_grads = _lookup_affine_run(layout, dtype, out_width, relu, True, seed)
+        # x @ w splits, and so does the pull's g @ w.T
+        splits = _splits(n, (len(parts) * width, out_width), size) * 2
         assert len(pool.submitted) == splits
-        oracle_data, oracle_grads, _ = _lookup_affine_run(layout, dtype, out_width, relu, False, seed)
+        oracle_data, oracle_grads = _lookup_affine_run(layout, dtype, out_width, relu, False, seed)
         assert len(pool.submitted) == 2 * splits
     assert fused_data.dtype == dtype and fused_data.tobytes() == oracle_data.tobytes()
     for got, want in zip(fused_grads, oracle_grads):

@@ -103,6 +103,11 @@ def test_config_validation():
         tiny_config(learning_rate=-1.0)
 
 
+def test_model_size_bounds_are_inclusive():
+    config = tiny_config(latent_dim=1024, processor_depth=16)
+    assert (config.latent_dim, config.processor_depth) == (1024, 16)
+
+
 def test_adam_matches_reference_formula():
     t = Tensor(np.array([1.0, -2.0], dtype=np.float32), track=True)
     named = {"w": t}
